@@ -1,0 +1,66 @@
+"""Golden CSV hashes: the dual-track CSV is pinned byte for byte.
+
+The sha256 values were taken from the object-per-step fold that built every
+row as a dataclass and joined the CSV into one string.  Any later fold or
+writer must reproduce them exactly; a changed digit anywhere fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from evcalc import StreamSpec, UnitWeights, run_dual_track
+from evcalc.cli import main
+
+EXPLICIT = (True, False, False, True, True, True, False, True, False, False) * 30
+
+# (id, StreamSpec kwargs, (w0+, w0-), record_every, sha256 of the CSV)
+CASES = [
+    ("bernoulli", dict(mode="bernoulli", steps=3000, q=0.4, seed=11), (1.0, 1.0), 1,
+     "1b8b193cad91c6be5ae563a381caddc7232c42a02753daed60340ab18bbbfa99"),
+    ("faithful", dict(mode="frequency_faithful", steps=3000, q=0.7), (1.0, 1.0), 1,
+     "da4d8879ecbff2a56efbf510556d60d7ef13c665f14fcde6fd7ace1e77da7cd3"),
+    ("delta_profile", dict(mode="delta_profile", steps=3000, delta=3), (1.0, 1.0), 1,
+     "32c9fb24d47db97b67bfc316386c7034e1704038a42cc3f4030591b984acfe4f"),
+    ("explicit", dict(mode="explicit", outcomes=EXPLICIT), (1.0, 1.0), 1,
+     "5aa61c343d25591c42fdaf9e9a8736f4bc0847783348e6855ac96d8dead316ff"),
+    ("asymmetric_bernoulli", dict(mode="bernoulli", steps=3000, q=0.85, seed=2**64 - 1), (0.3, 2.5), 1,
+     "08183558bc835d27f327bc531cd531492a3ac0e4efc63304b59b3ac6df71f575"),
+    ("asymmetric_faithful", dict(mode="frequency_faithful", steps=3000, q=0.2), (0.3, 2.5), 1,
+     "8d239a7468adbfe179bb8767ef54aaa56087fa0246b5dea7acead30d165feca0"),
+    # 1500 of the 3000 steps take combine_interval's conflict > 0.5 branch
+    ("high_conflict", dict(mode="frequency_faithful", steps=3000, q=0.5), (3.0, 3.0), 1,
+     "1cc16ede2a94f6c525c6406c11d91ab6b55a48bbf8c7c8de3ae98080577210ba"),
+    # 3001 is not a multiple of 7, so the final row is recorded off the grid
+    ("record_every", dict(mode="bernoulli", steps=3001, q=0.6, seed=7), (1.0, 1.0), 7,
+     "5f431d7eb80a4d0a9f83dfef39251fade2590de6582efdc684db42802bb23e9b"),
+    ("zero_steps", dict(mode="frequency_faithful", steps=0, q=0.7), (1.0, 1.0), 1,
+     "e2ccde4f685803c2f74ba39e3d227bfd4c9de53f45efd88fabefc6f08c733c9c"),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("kwargs,weights,record_every,digest", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_csv_matches_golden_hash(kwargs, weights, record_every, digest):
+    traj = run_dual_track(StreamSpec(**kwargs), UnitWeights(*weights), record_every)
+    assert _sha256(traj.to_csv().encode()) == digest
+
+
+def test_cli_out_file_and_summary_match_golden(capsys, tmp_path):
+    # the "record_every" case, run through `evcalc simulate --out`
+    target = tmp_path / "run.csv"
+    code = main([
+        "simulate", "--mode", "bernoulli", "--q", "0.6", "--seed", "7", "--steps", "3001",
+        "--record-every", "7", "--out", str(target),
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == ""
+    assert _sha256(target.read_bytes()) == dict((c[0], c[4]) for c in CASES)["record_every"]
+    assert captured.err == (
+        "final row: t=3001 t_plus=1811 bel=1 pl=1 l=0.60326449034 u=0.603597601599 f=0.603465511496\n"
+        "predicted dempster limit: 1\n"
+    )
