@@ -36,6 +36,24 @@ def _clamp_unit(value: float, name: str) -> float:
     return value
 
 
+def _unit_pair(lo: float, hi: float, lo_name: str, hi_name: str, tolerance: float) -> tuple[float, float]:
+    """Validate an interval (lo, hi) inside [0, 1] and return it repaired.
+
+    Each end is coerced by _clamp_unit; a pair inverted by at most tolerance
+    (rounding noise) collapses to its midpoint, a wider inversion is an error.
+    """
+    lo, hi = float(lo), float(hi)
+    if 0.0 <= lo <= hi <= 1.0:
+        return lo, hi
+    lo = _clamp_unit(lo, lo_name)
+    hi = _clamp_unit(hi, hi_name)
+    if lo > hi:
+        if lo - hi > tolerance:
+            raise ValidationError(f"{lo_name} must not exceed {hi_name}, got ({lo!r}, {hi!r})")
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class MassAssignment:
     """Mass on {H}, {not-H} and the frame; must sum to one."""
@@ -96,12 +114,7 @@ class BeliefInterval:
     _carried = None
 
     def __post_init__(self):
-        bel = _clamp_unit(self.bel, "bel")
-        pl = _clamp_unit(self.pl, "pl")
-        if bel > pl:
-            if bel - pl > SUM_TOLERANCE:
-                raise ValidationError(f"bel must not exceed pl, got ({bel!r}, {pl!r})")
-            bel = pl = 0.5 * (bel + pl)
+        bel, pl = _unit_pair(self.bel, self.pl, "bel", "pl", SUM_TOLERANCE)
         object.__setattr__(self, "bel", bel)
         object.__setattr__(self, "pl", pl)
 

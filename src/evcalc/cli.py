@@ -10,19 +10,23 @@ Subcommands:
   delta-demo   show the fold landing on the analytic point 1/(1 + e^delta)
 
 combine and convert read JSON from arguments or stdin and write JSON to
-stdout; simulate writes CSV to stdout or --out and its summary to stderr.
-Exit codes: 0 success, 1 usage or malformed input, 2 mathematical error,
-3 conflict of conventions (a report, not a failure).
+stdout; simulate streams CSV to stdout or --out row by row, so the rows
+written before a mid-run error stay written, and prints its summary to
+stderr.  A reader that closes stdout early (`| head`) ends the run quietly.
+Exit codes: 0 success (also when the stdout reader stops early), 1 usage,
+malformed input or an --out file that cannot be opened or written,
+2 mathematical error, 3 conflict of conventions (a report, not a failure).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .binary_frame import BeliefInterval
-from .convergence import StreamSpec, check_limits, run_dual_track
+from .convergence import StreamSpec, Trajectory, TrajectoryRow, _dual_track_rows, _write_csv, check_limits
 from .dempster import combine_interval
 from .errors import (
     InfiniteEvidenceError,
@@ -157,15 +161,17 @@ def _cmd_simulate(args) -> int:
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     mode = "frequency_faithful" if args.mode == "faithful" else "bernoulli"
     spec = StreamSpec(mode=mode, steps=args.steps, q=args.q, seed=args.seed)
-    traj = run_dual_track(spec, unit, record_every=args.record_every)
-    csv_text = traj.to_csv()
+    rows = _dual_track_rows(spec, unit, args.record_every)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                final = _write_csv(rows, fh)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(csv_text)
-    report = check_limits(traj, spec, unit)
-    final = traj.final
+        final = _write_csv(rows, sys.stdout)
+    final = TrajectoryRow._make(final)
+    report = check_limits(Trajectory((final,)), spec, unit)
     f = "" if final.freq is None else f"{final.freq:.12g}"
     print(
         f"final row: t={final.t} t_plus={final.t_plus} bel={final.ds_bel:.12g} "
@@ -176,12 +182,18 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _final_row(spec: StreamSpec, unit: UnitWeights) -> TrajectoryRow:
+    """The last row of the fold; the rows before it are dropped as they come."""
+    for row in _dual_track_rows(spec, unit):
+        pass
+    return TrajectoryRow._make(row)
+
+
 def _cmd_defect_demo(args) -> int:
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     spec = StreamSpec(mode="frequency_faithful", steps=args.steps, q=args.q)
-    traj = run_dual_track(spec, unit)
-    report = check_limits(traj, spec, unit)
-    final = traj.final
+    final = _final_row(spec, unit)
+    report = check_limits(Trajectory((final,)), spec, unit)
     print(
         json.dumps(
             {
@@ -208,16 +220,16 @@ def _cmd_delta_demo(args) -> int:
         raise _UsageError("steps must be at least delta")
     delta = float(int(args.delta))
     spec = StreamSpec(mode="delta_profile", steps=args.steps, delta=delta)
-    traj = run_dual_track(spec, UnitWeights())
+    final = _final_row(spec, UnitWeights())
     analytic = delta_limit(delta)
     print(
         json.dumps(
             {
                 "delta": int(delta),
                 "steps": args.steps,
-                "final_bel": traj.final.ds_bel,
+                "final_bel": final.ds_bel,
                 "analytic_limit": analytic,
-                "abs_difference": abs(traj.final.ds_bel - analytic),
+                "abs_difference": abs(final.ds_bel - analytic),
             }
         )
     )
@@ -268,7 +280,15 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout stopped early (`evcalc simulate ... | head`):
+        # point stdout at devnull so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,25 +1,32 @@
 """Convergence laboratory: both calculi run in lockstep along a stream.
 
-Each outcome is folded three ways from the same unit weights: a Dempster
+Each outcome is folded two ways from the same unit weights: a Dempster
 track that combines one simple support per outcome into a running (bel, pl)
-state, a weight track implied by the recorded counts, and a lower/upper
-frequency track.  Recording them side by side makes the divergent limit
-behaviour of the two calculi directly comparable: the Dempster track heads
-for 0, 0.5 or 1 by the sign of w0+*q - w0-*(1-q), while the frequency track
-closes in on the outcome rate q itself.
+state, and a lower/upper frequency track over the accumulated weights.
+Recording them side by side makes the divergent limit behaviour of the two
+calculi directly comparable: the Dempster track heads for 0, 0.5 or 1 by the
+sign of w0+*q - w0-*(1-q), while the frequency track closes in on the
+outcome rate q itself.
+
+The fold streams: it yields one row at a time as a plain tuple, and
+`evcalc simulate` writes each CSV line as its row arrives, so the run's
+memory does not grow with the step count.  run_dual_track collects the same
+rows into a Trajectory.
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .binary_frame import BeliefInterval
-from .dempster import combine_interval
+from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
+from .dempster import _combine_pairs
 from .errors import ValidationError
 from .evidence_scale import UnitWeights, classify_limit, delta_limit, support_from_weight
-from .lower_upper import EvidenceCounts, frequency, interval_from_counts
-from .rng import SplitMix64
+from .lower_upper import DEFAULT_HORIZON, POINT_TOLERANCE, EvidenceCounts, _frequency
+from .rng import _bernoulli_outcomes
 
 MODES = ("bernoulli", "frequency_faithful", "delta_profile", "explicit")
 
@@ -73,28 +80,33 @@ class StreamSpec:
 
 def generate_stream(spec: StreamSpec) -> list[bool]:
     """Materialize the outcome sequence (True = supports the hypothesis)."""
+    return list(_outcomes(spec))
+
+
+def _outcomes(spec: StreamSpec) -> Iterator[bool]:
+    """The outcome sequence of spec, one outcome at a time."""
     if spec.mode == "explicit":
-        return list(spec.outcomes)
+        return iter(spec.outcomes)
     if spec.mode == "bernoulli":
-        rng = SplitMix64(spec.seed)
-        return [rng.uniform() < spec.q for _ in range(spec.steps)]
+        return _bernoulli_outcomes(spec.seed, spec.q, spec.steps)
     if spec.mode == "frequency_faithful":
-        # positive at step t iff floor(q*t) increments, keeping |t+ - q*t| < 1
-        out: list[bool] = []
-        prev = 0
-        for t in range(1, spec.steps + 1):
-            cur = math.floor(spec.q * t)
-            out.append(cur > prev)
-            prev = cur
-        return out
+        return _faithful_outcomes(spec.q, spec.steps)
     # delta_profile: delta leading negatives, then strict +/- alternation,
     # so the negative-positive count difference is exactly delta at even steps
     d = int(spec.delta)
-    return [False if t < d else (t - d) % 2 == 0 for t in range(spec.steps)]
+    return (False if t < d else (t - d) % 2 == 0 for t in range(spec.steps))
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+def _faithful_outcomes(q: float, steps: int) -> Iterator[bool]:
+    # positive at step t iff floor(q*t) increments, keeping |t+ - q*t| < 1
+    prev = 0
+    for t in range(1, steps + 1):
+        cur = math.floor(q * t)
+        yield cur > prev
+        prev = cur
+
+
+class TrajectoryRow(NamedTuple):
     t: int
     t_plus: int
     ds_bel: float
@@ -104,8 +116,24 @@ class TrajectoryRow:
     freq: float | None
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+# one CSV line per row; a row without a frequency stops before its last cell
+_ROW_FORMAT = "%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+_ROW_FORMAT_NO_FREQ = _ROW_FORMAT[: _ROW_FORMAT.rindex("%")] + "\n"
+
+
+def _write_csv(rows: Iterable[tuple], out: TextIO) -> tuple | None:
+    """Write the header and one line per row to out as the rows arrive.
+
+    Rows are (t, t_plus, bel, pl, l, u, f) tuples or TrajectoryRows; an
+    undefined f (None) is left empty.  Returns the last row written, or None
+    if there was none.
+    """
+    write = out.write
+    write(CSV_HEADER + "\n")
+    row = None
+    for row in rows:
+        write(_ROW_FORMAT % row if row[6] is not None else _ROW_FORMAT_NO_FREQ % row[:6])
+    return row
 
 
 @dataclass(frozen=True)
@@ -120,14 +148,9 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """CSV with header t,t_plus,bel,pl,l,u,f; undefined f is left empty."""
-        lines = [CSV_HEADER]
-        for r in self.rows:
-            f = "" if r.freq is None else _fmt(r.freq)
-            lines.append(
-                f"{r.t},{r.t_plus},{_fmt(r.ds_bel)},{_fmt(r.ds_pl)},"
-                f"{_fmt(r.lu_l)},{_fmt(r.lu_u)},{f}"
-            )
-        return "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        _write_csv(self.rows, buf)
+        return buf.getvalue()
 
 
 def run_dual_track(
@@ -142,30 +165,54 @@ def run_dual_track(
     the frequency track accumulates the same weights as counts.  The start
     row and the final row are always recorded.
     """
+    return Trajectory(tuple(map(TrajectoryRow._make, _dual_track_rows(spec, unit, record_every))))
+
+
+def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1) -> Iterator[tuple]:
+    """The rows of run_dual_track as (t, t_plus, bel, pl, l, u, f) tuples,
+    produced lazily; the arguments are checked before the first row."""
     if int(record_every) != record_every or record_every < 1:
         raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
-    outcomes = generate_stream(spec)
-    support_pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
-    support_neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
-    state = BeliefInterval.vacuous()
+    return _fold(spec, unit, record_every)
+
+
+def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tuple]:
+    # Each step is combine_interval against a fixed support plus the repair
+    # BeliefInterval applies, and each recorded row is interval_from_counts
+    # and frequency at the default horizon; all of it on plain floats, so no
+    # value object is built per step.  _unit_pair is called only for a pair
+    # outside 0 <= lo <= hi <= 1, its own no-repair test: the call would
+    # cost a third of a step.
+    pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
+    neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
+    pos_bel, pos_pl, neg_bel, neg_pl = pos.bel, pos.pl, neg.bel, neg.pl
+    w0_plus, w0_minus = unit.w0_plus, unit.w0_minus
+    k = DEFAULT_HORIZON
+    total_steps = spec.steps
+    bel, pl = 0.0, 1.0
     w_plus = w_minus = 0.0
-    t_plus = 0
-    rows = [TrajectoryRow(0, 0, 0.0, 1.0, 0.0, 1.0, None)]
-    total_steps = len(outcomes)
-    for t, positive in enumerate(outcomes, start=1):
+    t = t_plus = 0
+    yield (0, 0, 0.0, 1.0, 0.0, 1.0, None)
+    for positive in _outcomes(spec):
+        t += 1
         if positive:
-            state = combine_interval(state, support_pos)
-            w_plus += unit.w0_plus
+            bel, pl = _combine_pairs(bel, pl, pos_bel, pos_pl)
+            w_plus += w0_plus
             t_plus += 1
         else:
-            state = combine_interval(state, support_neg)
-            w_minus += unit.w0_minus
+            bel, pl = _combine_pairs(bel, pl, neg_bel, neg_pl)
+            w_minus += w0_minus
+        if not 0.0 <= bel <= pl <= 1.0:
+            bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
         if t % record_every == 0 or t == total_steps:
             w = w_plus + w_minus
-            fi = interval_from_counts(EvidenceCounts(w_plus, w))
-            f = None if w == 0.0 else frequency(fi)
-            rows.append(TrajectoryRow(t, t_plus, state.bel, state.pl, fi.l, fi.u, f))
-    return Trajectory(tuple(rows))
+            if not math.isfinite(w):
+                EvidenceCounts(w_plus, w)  # raises: the accumulated weight overflowed
+            scale = w + k
+            l, u = w_plus / scale, (w_plus + k) / scale
+            if not 0.0 <= l <= u <= 1.0:
+                l, u = _unit_pair(l, u, "l", "u", POINT_TOLERANCE)
+            yield t, t_plus, bel, pl, l, u, None if w == 0.0 else _frequency(l, u)
 
 
 @dataclass(frozen=True)

@@ -43,21 +43,27 @@ def combine_interval(x1: BeliefInterval, x2: BeliefInterval) -> BeliefInterval:
     Agrees with combine_mass through the mass/interval bijection; the vacuous
     interval (0, 1) is a two-sided identity.
     """
-    conflict = x1.bel * (1.0 - x2.pl) + x2.bel * (1.0 - x1.pl)
+    return BeliefInterval(*_combine_pairs(x1.bel, x1.pl, x2.bel, x2.pl))
+
+
+def _combine_pairs(bel1: float, pl1: float, bel2: float, pl2: float) -> tuple[float, float]:
+    """combine_interval on raw floats, returning the (bel, pl) that
+    BeliefInterval has yet to validate.  The convergence fold calls it once
+    per step."""
+    conflict = bel1 * (1.0 - pl2) + bel2 * (1.0 - pl1)
     if 1.0 - conflict < CONFLICT_TOLERANCE:
-        raise TotalConflictError(x1, x2)
+        raise TotalConflictError(BeliefInterval(bel1, pl1), BeliefInterval(bel2, pl2))
     if conflict <= 0.5:
         denom = 1.0 - conflict
-        bel = (x1.bel * x2.pl + x2.bel * x1.pl - x1.bel * x2.bel) / denom
-        return BeliefInterval(bel, (x1.pl * x2.pl) / denom)
+        return (bel1 * pl2 + bel2 * pl1 - bel1 * bel2) / denom, (pl1 * pl2) / denom
     # high-conflict regime: normalize by the part sum, as in combine_mass
-    t1, t2 = x1.pl - x1.bel, x2.pl - x2.bel
-    n1, n2 = 1.0 - x1.pl, 1.0 - x2.pl
-    h = x1.bel * x2.bel + x1.bel * t2 + t1 * x2.bel
+    t1, t2 = pl1 - bel1, pl2 - bel2
+    n1, n2 = 1.0 - pl1, 1.0 - pl2
+    h = bel1 * bel2 + bel1 * t2 + t1 * bel2
     nh = n1 * n2 + n1 * t2 + t1 * n2
     th = t1 * t2
     denom = h + nh + th
-    return BeliefInterval(h / denom, (h + th) / denom)
+    return h / denom, (h + th) / denom
 
 
 def bernoulli_combine(s1: float, s2: float) -> float:

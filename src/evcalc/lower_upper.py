@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .binary_frame import BeliefInterval, _clamp_unit
+from .binary_frame import BeliefInterval, _unit_pair
 from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError
 from .evidence_scale import EvidenceWeights, belief_from_weights, delta_limit, weights_from_belief
 
@@ -37,12 +37,7 @@ class FrequencyInterval:
     u: float
 
     def __post_init__(self):
-        l = _clamp_unit(self.l, "l")
-        u = _clamp_unit(self.u, "u")
-        if l > u:
-            if l - u > POINT_TOLERANCE:
-                raise ValidationError(f"l must not exceed u, got ({l!r}, {u!r})")
-            l = u = 0.5 * (l + u)
+        l, u = _unit_pair(self.l, self.u, "l", "u", POINT_TOLERANCE)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "u", u)
 
@@ -160,11 +155,16 @@ def frequency(fi: FrequencyInterval) -> float:
     Independent of the horizon; a point is its own frequency; undefined on
     the zero-evidence interval (0, 1).
     """
-    if fi.is_point:
-        return fi.l
-    if fi.l == 0.0 and fi.u == 1.0:
+    return _frequency(fi.l, fi.u)
+
+
+def _frequency(l: float, u: float) -> float:
+    """frequency on the validated bounds of a FrequencyInterval."""
+    if l == u:
+        return l
+    if l == 0.0 and u == 1.0:
         raise ZeroEvidenceError("no evidence yet; the frequency is 0/0")
-    return fi.l / (fi.l + (1.0 - fi.u))
+    return l / (l + (1.0 - u))
 
 
 def ignorance(fi: FrequencyInterval) -> float:

@@ -3,9 +3,14 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import evcalc
 from evcalc.cli import main
 
 
@@ -237,6 +242,31 @@ def test_simulate_bernoulli_determinism(capsys):
 def test_simulate_bad_flags(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 1
+
+
+def test_simulate_unwritable_out_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "run.csv"
+    code, out, err = run_cli(capsys, "simulate", "--q", "0.7", "--steps", "10", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_simulate_stops_quietly_when_stdout_reader_closes():
+    # 200k rows are megabytes of CSV, far beyond a pipe buffer, so the
+    # child is still writing when the reader goes away after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evcalc.cli", "simulate", "--q", "0.7", "--steps", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"t,t_plus,bel,pl,l,u,f\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err and b"Error" not in err
 
 
 # --- demos ---

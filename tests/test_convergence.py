@@ -1,6 +1,7 @@
 """Stream generation and the dual-track convergence runs."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,8 @@ from evcalc import (
     generate_stream,
     run_dual_track,
 )
+from evcalc.convergence import _dual_track_rows, _write_csv
+from evcalc.rng import SplitMix64, _bernoulli_outcomes
 
 UNIT = UnitWeights()
 
@@ -62,6 +65,14 @@ def test_bernoulli_stream_determinism():
     assert first[:8] == [False, True, True, False, True, True, True, False]
     other = generate_stream(StreamSpec(mode="bernoulli", steps=64, q=0.5, seed=1))
     assert other != first
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
+def test_inlined_bernoulli_iterator_matches_splitmix64(seed, q):
+    rng = SplitMix64(seed)
+    expected = [rng.uniform() < q for _ in range(500)]
+    assert list(_bernoulli_outcomes(seed, q, 500)) == expected
 
 
 def test_bernoulli_stream_rate_sanity():
@@ -192,6 +203,24 @@ def test_csv_layout():
     cells = lines[3].split(",")
     assert cells[0] == "2" and cells[1] == "1"
     assert float(cells[6]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_streamed_csv_memory_does_not_grow_with_steps():
+    class Discard:
+        def write(self, text):
+            pass
+
+    def peak_bytes(steps):
+        spec = StreamSpec(mode="bernoulli", steps=steps, q=0.5, seed=3)
+        tracemalloc.start()
+        try:
+            _write_csv(_dual_track_rows(spec, UNIT), Discard())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # ten times the rows, the same peak: nothing is kept per row
+    assert peak_bytes(20_000) < peak_bytes(2_000) + 4096
 
 
 def test_csv_round_trip_values():
