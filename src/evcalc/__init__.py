@@ -58,10 +58,14 @@ from .lower_upper import (
     combine_points,
     combine_with_point,
     counts_from_interval,
+    counts_from_weights,
     frequency,
     ignorance,
     interval_from_counts,
     lu_from_belpl,
+    lu_from_weights,
+    pool_lu,
+    weights_from_counts,
 )
 from .rng import SplitMix64
 
@@ -98,6 +102,7 @@ __all__ = [
     "combine_points",
     "combine_with_point",
     "counts_from_interval",
+    "counts_from_weights",
     "delta_limit",
     "frequency",
     "generate_stream",
@@ -105,10 +110,13 @@ __all__ = [
     "interval_from_counts",
     "interval_to_mass",
     "lu_from_belpl",
+    "lu_from_weights",
     "mass_to_interval",
     "multiply_combine",
+    "pool_lu",
     "positive_proportion",
     "run_dual_track",
     "support_from_weight",
     "weights_from_belief",
+    "weights_from_counts",
 ]

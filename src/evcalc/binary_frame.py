@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, parse_object
 
 #: Tolerance for the sum-to-one invariant; inputs inside it are renormalized
 #: (serialized values accumulate decimal rounding noise).
@@ -85,12 +85,7 @@ class MassAssignment:
 
     @classmethod
     def from_dict(cls, data) -> MassAssignment:
-        try:
-            return cls(float(data["m_h"]), float(data["m_not_h"]), float(data["m_theta"]))
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad mass object: {data!r}") from exc
+        return parse_object("mass", data, lambda d: cls(float(d["m_h"]), float(d["m_not_h"]), float(d["m_theta"])))
 
 
 @dataclass(frozen=True)
@@ -150,12 +145,7 @@ class BeliefInterval:
 
     @classmethod
     def from_dict(cls, data) -> BeliefInterval:
-        try:
-            return cls(float(data["bel"]), float(data["pl"]))
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad belief interval object: {data!r}") from exc
+        return parse_object("belief interval", data, lambda d: cls(float(d["bel"]), float(d["pl"])))
 
 
 def mass_to_interval(m: MassAssignment) -> BeliefInterval:

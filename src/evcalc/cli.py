@@ -45,11 +45,11 @@ from .lower_upper import (
     ConflictReport,
     EvidenceCounts,
     FrequencyInterval,
-    combine_lu,
-    combine_points,
-    combine_with_point,
     counts_from_interval,
-    interval_from_counts,
+    counts_from_weights,
+    lu_from_weights,
+    pool_lu,
+    weights_from_counts,
 )
 
 EXIT_OK = 0
@@ -57,13 +57,18 @@ EXIT_USAGE = 1
 EXIT_MATH = 2
 EXIT_CONFLICT = 3
 
-FORMATS = ("belpl", "weights", "lu", "counts")
+# format -> (parse, to weights, from weights); every conversion goes through the weights
+FORMATS = {
+    "belpl": (BeliefInterval.from_dict, weights_from_belief, belief_from_weights),
+    "weights": (EvidenceWeights.from_dict, lambda w: w, lambda w: w),
+    "lu": (FrequencyInterval.from_dict, lambda fi: weights_from_counts(counts_from_interval(fi)), lu_from_weights),
+    "counts": (EvidenceCounts.from_dict, weights_from_counts, counts_from_weights),
+}
 
-_PARSERS = {
-    "belpl": BeliefInterval.from_dict,
-    "weights": EvidenceWeights.from_dict,
-    "lu": FrequencyInterval.from_dict,
-    "counts": EvidenceCounts.from_dict,
+# rule -> (parse, pool)
+RULES = {
+    "dempster": (BeliefInterval.from_dict, combine_interval),
+    "lu": (FrequencyInterval.from_dict, pool_lu),
 }
 
 
@@ -96,64 +101,24 @@ def _cmd_combine(args) -> int:
     values = _read_values(args)
     if len(values) < 2:
         raise _UsageError("combine needs at least two values")
-    if args.rule == "dempster":
-        acc = BeliefInterval.from_dict(values[0])
-        for raw in values[1:]:
-            acc = combine_interval(acc, BeliefInterval.from_dict(raw))
-        print(json.dumps(acc.to_dict()))
-        return EXIT_OK
-    acc = FrequencyInterval.from_dict(values[0])
+    parse, pool = RULES[args.rule]
+    acc = parse(values[0])
     for raw in values[1:]:
-        nxt = FrequencyInterval.from_dict(raw)
-        if acc.is_point and nxt.is_point:
-            merged = combine_points(acc, nxt)
-            if isinstance(merged, ConflictReport):
-                print(json.dumps(merged.to_dict()))
-                return EXIT_CONFLICT
-            acc = merged
-        elif acc.is_point:
-            acc = combine_with_point(acc, nxt)
-        elif nxt.is_point:
-            acc = combine_with_point(nxt, acc)
-        else:
-            acc = combine_lu(acc, nxt)
+        acc = pool(acc, parse(raw))
+        if isinstance(acc, ConflictReport):
+            print(json.dumps(acc.to_dict()))
+            return EXIT_CONFLICT
     print(json.dumps(acc.to_dict()))
     return EXIT_OK
 
 
-def _to_weights(fmt: str, value) -> EvidenceWeights:
-    if fmt == "belpl":
-        return weights_from_belief(value)
-    if fmt == "weights":
-        return value
-    if fmt == "lu":
-        c = counts_from_interval(value)
-        return EvidenceWeights.finite(c.w_plus, c.w_total - c.w_plus)
-    return EvidenceWeights.finite(value.w_plus, value.w_total - value.w_plus)
-
-
-def _from_weights(fmt: str, w: EvidenceWeights):
-    if fmt == "belpl":
-        return belief_from_weights(w)
-    if fmt == "weights":
-        return w
-    if fmt == "lu":
-        if not w.is_finite:
-            return FrequencyInterval.point(delta_limit(w.delta))
-        return interval_from_counts(EvidenceCounts(w.w_plus, w.w_plus + w.w_minus))
-    if not w.is_finite:
-        raise InfiniteEvidenceError("infinite weight has no finite counts form")
-    return EvidenceCounts(w.w_plus, w.w_plus + w.w_minus)
-
-
 def _cmd_convert(args) -> int:
     raw = args.value if args.value is not None else sys.stdin.read()
-    value = _PARSERS[args.source](_load_json(raw))
-    if args.source == args.target:
-        result = value
-    else:
-        result = _from_weights(args.target, _to_weights(args.source, value))
-    print(json.dumps(result.to_dict()))
+    parse, to_weights, _ = FORMATS[args.source]
+    value = parse(_load_json(raw))
+    if args.source != args.target:
+        value = FORMATS[args.target][2](to_weights(value))
+    print(json.dumps(value.to_dict()))
     return EXIT_OK
 
 
@@ -241,7 +206,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("combine", help="fold serialized values with one of the two rules")
-    p.add_argument("--rule", required=True, choices=("dempster", "lu"))
+    p.add_argument("--rule", required=True, choices=RULES)
     p.add_argument("values", nargs="*", help="JSON values; a JSON array on stdin if omitted")
     p.set_defaults(func=_cmd_combine)
 
@@ -289,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationError as exc:
+    except (_UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TotalConflictError, InfiniteEvidenceError, ZeroEvidenceError) as exc:

@@ -28,9 +28,7 @@ def combine_mass(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
     conflict = m1.m_h * m2.m_not_h + m1.m_not_h * m2.m_h
     if 1.0 - conflict < CONFLICT_TOLERANCE:
         raise TotalConflictError(m1, m2)
-    h = m1.m_h * m2.m_h + m1.m_h * m2.m_theta + m1.m_theta * m2.m_h
-    nh = m1.m_not_h * m2.m_not_h + m1.m_not_h * m2.m_theta + m1.m_theta * m2.m_not_h
-    th = m1.m_theta * m2.m_theta
+    h, nh, th = _mass_products(m1.m_h, m1.m_not_h, m1.m_theta, m2.m_h, m2.m_not_h, m2.m_theta)
     # near total conflict 1 - conflict is all cancellation; the positive part
     # sum is the same normalizer without it
     denom = 1.0 - conflict if conflict <= 0.5 else h + nh + th
@@ -57,13 +55,14 @@ def _combine_pairs(bel1: float, pl1: float, bel2: float, pl2: float) -> tuple[fl
         denom = 1.0 - conflict
         return (bel1 * pl2 + bel2 * pl1 - bel1 * bel2) / denom, (pl1 * pl2) / denom
     # high-conflict regime: normalize by the part sum, as in combine_mass
-    t1, t2 = pl1 - bel1, pl2 - bel2
-    n1, n2 = 1.0 - pl1, 1.0 - pl2
-    h = bel1 * bel2 + bel1 * t2 + t1 * bel2
-    nh = n1 * n2 + n1 * t2 + t1 * n2
-    th = t1 * t2
+    h, nh, th = _mass_products(bel1, 1.0 - pl1, pl1 - bel1, bel2, 1.0 - pl2, pl2 - bel2)
     denom = h + nh + th
     return h / denom, (h + th) / denom
+
+
+def _mass_products(h1: float, n1: float, t1: float, h2: float, n2: float, t2: float) -> tuple[float, float, float]:
+    """Unnormalized pooled masses on {H}, {not-H} and the frame; conflict left out."""
+    return h1 * h2 + h1 * t2 + t1 * h2, n1 * n2 + n1 * t2 + t1 * n2, t1 * t2
 
 
 def bernoulli_combine(s1: float, s2: float) -> float:

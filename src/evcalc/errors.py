@@ -20,3 +20,13 @@ class InfiniteEvidenceError(ValueError):
 
 class ZeroEvidenceError(ValueError):
     """The operation is undefined before any evidence has been observed."""
+
+
+def parse_object(what: str, data, build):
+    """build(data), with a malformed JSON object reported as `bad <what> object`."""
+    try:
+        return build(data)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {what} object: {data!r}") from exc

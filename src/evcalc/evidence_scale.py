@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval
-from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError
+from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, parse_object
 
 #: Exact-tie tolerance for the limit classification.
 TIE_TOLERANCE = 1e-12
@@ -84,17 +84,14 @@ class EvidenceWeights:
 
     @classmethod
     def from_dict(cls, data) -> EvidenceWeights:
-        try:
-            kind = data["kind"]
+        def build(d):
+            kind = d["kind"]
             if kind == FINITE:
-                return cls.finite(float(data["w_plus"]), float(data["w_minus"]))
+                return cls.finite(float(d["w_plus"]), float(d["w_minus"]))
             if kind == INFINITE:
-                return cls.infinite(float(data["delta"]))
+                return cls.infinite(float(d["delta"]))
             raise ValidationError(f"unknown weights kind {kind!r}")
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad weights object: {data!r}") from exc
+        return parse_object("weights", data, build)
 
 
 @dataclass(frozen=True)
@@ -205,19 +202,18 @@ def multiply_combine(b1: float, b2: float) -> float:
 def positive_proportion(iv: BeliefInterval) -> float:
     """Share of the total evidence weight that is positive, w+ / w.
 
-    Built from the same preimage as weights_from_belief, so a value built by
+    Read from the weights_from_belief preimage, so a value built by
     belief_from_weights gives w+ / (w+ + w-) of its own weights.
     """
     if iv.bel == iv.pl:
         raise InfiniteEvidenceError(
             "a Bayesian point carries infinite weight; the proportion is undefined"
         )
-    m_h, m_not_h, width = iv.masses()
-    positive = _log1p_ratio(m_h, width)
-    total = positive + _log1p_ratio(m_not_h, width)
+    w = weights_from_belief(iv)
+    total = w.w_plus + w.w_minus
     if total == 0.0:
         raise ZeroEvidenceError("the vacuous interval carries zero weight (0/0)")
-    return positive / total
+    return w.w_plus / total
 
 
 def classify_limit(q: float, unit: UnitWeights) -> float:

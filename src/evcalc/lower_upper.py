@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .binary_frame import BeliefInterval, _unit_pair
-from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError
+from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, parse_object
 from .evidence_scale import EvidenceWeights, belief_from_weights, delta_limit, weights_from_belief
 
 #: Two points closer than this are the same convention.
@@ -64,17 +64,14 @@ class FrequencyInterval:
 
     @classmethod
     def from_dict(cls, data) -> FrequencyInterval:
-        try:
-            kind = data["kind"]
+        def build(d):
+            kind = d["kind"]
             if kind == KIND_POINT:
-                return cls.point(float(data["value"]))
+                return cls.point(float(d["value"]))
             if kind == KIND_INTERVAL:
-                return cls(float(data["l"]), float(data["u"]))
+                return cls(float(d["l"]), float(d["u"]))
             raise ValidationError(f"unknown frequency kind {kind!r}")
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad frequency object: {data!r}") from exc
+        return parse_object("frequency", data, build)
 
 
 @dataclass(frozen=True)
@@ -103,12 +100,7 @@ class EvidenceCounts:
 
     @classmethod
     def from_dict(cls, data) -> EvidenceCounts:
-        try:
-            return cls(float(data["w_plus"]), float(data["w_total"]))
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"bad counts object: {data!r}") from exc
+        return parse_object("counts", data, lambda d: cls(float(d["w_plus"]), float(d["w_total"])))
 
 
 @dataclass(frozen=True)
@@ -208,20 +200,45 @@ def combine_points(p1: FrequencyInterval, p2: FrequencyInterval) -> FrequencyInt
     return ConflictReport(p1.l, p2.l)
 
 
+def pool_lu(f1: FrequencyInterval, f2: FrequencyInterval) -> FrequencyInterval | ConflictReport:
+    """Pool two frequency values: two intervals by combine_lu, a point and an
+    interval by combine_with_point, two points by combine_points."""
+    if f1.is_point and f2.is_point:
+        return combine_points(f1, f2)
+    if f1.is_point:
+        return combine_with_point(f1, f2)
+    if f2.is_point:
+        return combine_with_point(f2, f1)
+    return combine_lu(f1, f2)
+
+
+def weights_from_counts(c: EvidenceCounts) -> EvidenceWeights:
+    """The finite weights (w+, w - w+) behind accumulated counts."""
+    return EvidenceWeights.finite(c.w_plus, c.w_total - c.w_plus)
+
+
+def counts_from_weights(w: EvidenceWeights) -> EvidenceCounts:
+    """The counts (w+, w+ + w-) of finite weights; infinite ones have none."""
+    if not w.is_finite:
+        raise InfiniteEvidenceError("infinite weight has no finite counts form")
+    return EvidenceCounts(w.w_plus, w.w_plus + w.w_minus)
+
+
+def lu_from_weights(w: EvidenceWeights, horizon: float = DEFAULT_HORIZON) -> FrequencyInterval:
+    """The frequency interval of weights; infinite ones give a point."""
+    if not w.is_finite:
+        return FrequencyInterval.point(delta_limit(w.delta))
+    return interval_from_counts(counts_from_weights(w), horizon)
+
+
 def lu_from_belpl(iv: BeliefInterval, horizon: float = DEFAULT_HORIZON) -> FrequencyInterval:
     """Carry a belief interval onto the frequency scale through its weights.
 
     Bayesian inputs map to points at 1/(1 + e^{delta}).
     """
-    w = weights_from_belief(iv)
-    if not w.is_finite:
-        return FrequencyInterval.point(delta_limit(w.delta))
-    return interval_from_counts(EvidenceCounts(w.w_plus, w.w_plus + w.w_minus), horizon)
+    return lu_from_weights(weights_from_belief(iv), horizon)
 
 
 def belpl_from_lu(fi: FrequencyInterval, horizon: float = DEFAULT_HORIZON) -> BeliefInterval:
-    """Inverse of lu_from_belpl, defined only for genuine intervals."""
-    if fi.is_point:
-        raise InfiniteEvidenceError("a point has no unique finite-weight belief interval")
-    c = counts_from_interval(fi, horizon)
-    return belief_from_weights(EvidenceWeights.finite(c.w_plus, c.w_total - c.w_plus))
+    """Inverse of lu_from_belpl; a point has no finite counts (InfiniteEvidenceError)."""
+    return belief_from_weights(weights_from_counts(counts_from_interval(fi, horizon)))
