@@ -14,13 +14,15 @@ stdout; simulate streams CSV to stdout or --out row by row, so the rows
 written before a mid-run error stay written, and prints its summary to
 stderr.  A reader that closes stdout early (`| head`) ends the run quietly.
 Exit codes: 0 success (also when the stdout reader stops early), 1 usage,
-malformed input or an --out file that cannot be opened or written,
+malformed input, a unit weight of 54 ln 2 (about 37.43) or more, or an
+output that cannot be written (--out or stdout, such as a full disk),
 2 mathematical error, 3 conflict of conventions (a report, not a failure).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -76,6 +78,21 @@ class _UsageError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _writing_stdout():
+    """Writes to stdout.  If one fails, stdout is pointed at devnull so the
+    interpreter's final flush of what is left stays quiet; a reader that
+    went away (`evcalc simulate ... | head`) passes on as BrokenPipeError,
+    any other failure (`> /dev/full`) becomes a one-line usage error."""
+    try:
+        yield
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            raise
+        raise _UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's default 2
         raise _UsageError(message)
@@ -97,7 +114,9 @@ def _read_values(args) -> list:
     return data
 
 
-def _cmd_combine(args) -> int:
+# each command returns its exit code and the JSON object for stdout, or None
+# when it wrote its output itself
+def _cmd_combine(args) -> tuple[int, dict]:
     values = _read_values(args)
     if len(values) < 2:
         raise _UsageError("combine needs at least two values")
@@ -106,23 +125,20 @@ def _cmd_combine(args) -> int:
     for raw in values[1:]:
         acc = pool(acc, parse(raw))
         if isinstance(acc, ConflictReport):
-            print(json.dumps(acc.to_dict()))
-            return EXIT_CONFLICT
-    print(json.dumps(acc.to_dict()))
-    return EXIT_OK
+            return EXIT_CONFLICT, acc.to_dict()
+    return EXIT_OK, acc.to_dict()
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> tuple[int, dict]:
     raw = args.value if args.value is not None else sys.stdin.read()
     parse, to_weights, _ = FORMATS[args.source]
     value = parse(_load_json(raw))
     if args.source != args.target:
         value = FORMATS[args.target][2](to_weights(value))
-    print(json.dumps(value.to_dict()))
-    return EXIT_OK
+    return EXIT_OK, value.to_dict()
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, None]:
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     mode = "frequency_faithful" if args.mode == "faithful" else "bernoulli"
     spec = StreamSpec(mode=mode, steps=args.steps, q=args.q, seed=args.seed)
@@ -134,7 +150,9 @@ def _cmd_simulate(args) -> int:
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
-        final = _write_csv(rows, sys.stdout)
+        with _writing_stdout():
+            final = _write_csv(rows, sys.stdout)
+            sys.stdout.flush()  # the summary below is only for a CSV that was written
     final = TrajectoryRow._make(final)
     report = check_limits(Trajectory((final,)), spec, unit)
     f = "" if final.freq is None else f"{final.freq:.12g}"
@@ -144,7 +162,7 @@ def _cmd_simulate(args) -> int:
         file=sys.stderr,
     )
     print(f"predicted dempster limit: {report.predicted_limit:.12g}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 def _final_row(spec: StreamSpec, unit: UnitWeights) -> TrajectoryRow:
@@ -154,31 +172,26 @@ def _final_row(spec: StreamSpec, unit: UnitWeights) -> TrajectoryRow:
     return TrajectoryRow._make(row)
 
 
-def _cmd_defect_demo(args) -> int:
+def _cmd_defect_demo(args) -> tuple[int, dict]:
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     spec = StreamSpec(mode="frequency_faithful", steps=args.steps, q=args.q)
     final = _final_row(spec, unit)
     report = check_limits(Trajectory((final,)), spec, unit)
-    print(
-        json.dumps(
-            {
-                "q": args.q,
-                "steps": args.steps,
-                "predicted_dempster_limit": report.predicted_limit,
-                "final_bel": final.ds_bel,
-                "final_pl": final.ds_pl,
-                "final_l": final.lu_l,
-                "final_u": final.lu_u,
-                "final_f": final.freq,
-                "dempster_gap_to_q": abs(final.ds_bel - args.q),
-                "lower_frequency_gap_to_q": abs(final.lu_l - args.q),
-            }
-        )
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "q": args.q,
+        "steps": args.steps,
+        "predicted_dempster_limit": report.predicted_limit,
+        "final_bel": final.ds_bel,
+        "final_pl": final.ds_pl,
+        "final_l": final.lu_l,
+        "final_u": final.lu_u,
+        "final_f": final.freq,
+        "dempster_gap_to_q": abs(final.ds_bel - args.q),
+        "lower_frequency_gap_to_q": abs(final.lu_l - args.q),
+    }
 
 
-def _cmd_delta_demo(args) -> int:
+def _cmd_delta_demo(args) -> tuple[int, dict]:
     if args.delta < 0 or args.delta != int(args.delta):
         raise _UsageError(f"delta must be a nonnegative integer, got {args.delta!r}")
     if args.steps < args.delta:
@@ -187,18 +200,13 @@ def _cmd_delta_demo(args) -> int:
     spec = StreamSpec(mode="delta_profile", steps=args.steps, delta=delta)
     final = _final_row(spec, UnitWeights())
     analytic = delta_limit(delta)
-    print(
-        json.dumps(
-            {
-                "delta": int(delta),
-                "steps": args.steps,
-                "final_bel": final.ds_bel,
-                "analytic_limit": analytic,
-                "abs_difference": abs(final.ds_bel - analytic),
-            }
-        )
-    )
-    return EXIT_OK
+    return EXIT_OK, {
+        "delta": int(delta),
+        "steps": args.steps,
+        "final_bel": final.ds_bel,
+        "analytic_limit": analytic,
+        "abs_difference": abs(final.ds_bel - analytic),
+    }
 
 
 def _build_parser() -> _Parser:
@@ -245,14 +253,13 @@ def _build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code = args.func(args)
-        sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        code, result = args.func(args)
+        with _writing_stdout():
+            if result is not None:
+                print(json.dumps(result))
+            sys.stdout.flush()  # a reader that went away shows up here, not at exit
         return code
-    except BrokenPipeError:
-        # the reader of stdout stopped early (`evcalc simulate ... | head`):
-        # point stdout at devnull so the interpreter's final flush stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+    except BrokenPipeError:  # the reader of stdout stopped early
         return EXIT_OK
     except (_UsageError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

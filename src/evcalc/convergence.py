@@ -163,7 +163,8 @@ def run_dual_track(
     A positive outcome contributes a simple support of weight w0+ on the
     hypothesis, a negative one a simple support of weight w0- against it;
     the frequency track accumulates the same weights as counts.  The start
-    row and the final row are always recorded.
+    row and the final row are always recorded.  Each unit weight must stay
+    below 54 ln 2 (about 37.43), where its support would round to 1.
     """
     return Trajectory(tuple(map(TrajectoryRow._make, _dual_track_rows(spec, unit, record_every))))
 
@@ -173,6 +174,9 @@ def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1)
     produced lazily; the arguments are checked before the first row."""
     if int(record_every) != record_every or record_every < 1:
         raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
+    for name, w in (("w0_plus", unit.w0_plus), ("w0_minus", unit.w0_minus)):
+        if support_from_weight(w) == 1.0:  # from 54 ln 2 on, e^-w is at most half an ulp of 1
+            raise ValidationError(f"{name} must be below 54 ln 2 (about 37.43), got {w!r}: its support rounds to 1")
     return _fold(spec, unit, record_every)
 
 

@@ -5,6 +5,9 @@ from hypothesis import given
 
 from evcalc import (
     BeliefInterval,
+    EvidenceCounts,
+    EvidenceWeights,
+    FrequencyInterval,
     MassAssignment,
     ValidationError,
     interval_to_mass,
@@ -106,9 +109,30 @@ def test_json_forms():
     assert BeliefInterval.from_dict(iv.to_dict()) == iv
 
 
-@pytest.mark.parametrize("data", [{}, {"bel": 0.5}, {"bel": "x", "pl": None}, 42])
-def test_bad_json_rejected(data):
-    with pytest.raises(ValidationError):
-        BeliefInterval.from_dict(data)
-    with pytest.raises(ValidationError):
-        MassAssignment.from_dict(data)
+# (value type, its name in parse errors, a well-formed JSON object)
+PARSERS = [
+    (BeliefInterval, "belief interval", {"bel": 0.2, "pl": 0.7}),
+    (MassAssignment, "mass", {"m_h": 0.2, "m_not_h": 0.3, "m_theta": 0.5}),
+    (EvidenceWeights, "weights", {"kind": "finite", "w_plus": 1.0, "w_minus": 2.0}),
+    (FrequencyInterval, "frequency", {"kind": "interval", "l": 0.3, "u": 0.5}),
+    (EvidenceCounts, "counts", {"w_plus": 6.0, "w_total": 10.0}),
+]
+
+
+def _malformed(valid: dict, case: str):
+    last = list(valid)[-1]  # a number field, never "kind"
+    return {
+        "empty": {},
+        "missing_field": {key: value for key, value in valid.items() if key != last},
+        "non_number_field": {**valid, last: "x"},
+        "number": 42,
+        "list": list(valid.values()),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["empty", "missing_field", "non_number_field", "number", "list"])
+@pytest.mark.parametrize("cls, what, valid", PARSERS, ids=[p[0].__name__ for p in PARSERS])
+def test_bad_json_rejected(cls, what, valid, case):
+    assert cls.from_dict(valid).to_dict() == valid
+    with pytest.raises(ValidationError, match=f"^bad {what} object: "):
+        cls.from_dict(_malformed(valid, case))

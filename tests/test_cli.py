@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, wire formats, exit codes."""
 
+import errno
 import io
 import json
 import math
@@ -237,6 +238,7 @@ def test_simulate_bernoulli_determinism(capsys):
         ("simulate", "--q", "0.5", "--steps", "10", "--w0-pos", "0"),
         ("simulate", "--steps", "10"),  # q required
         ("simulate", "--q", "abc", "--steps", "10"),
+        ("simulate", "--q", "0.5", "--steps", "10", "--w0-pos", "40"),  # support rounds to 1
     ],
 )
 def test_simulate_bad_flags(capsys, argv):
@@ -267,6 +269,25 @@ def test_simulate_stops_quietly_when_stdout_reader_closes():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in err and b"Error" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--q", "0.7", "--steps", "10"),  # fails at the final flush
+        ("simulate", "--q", "0.7", "--steps", "20000"),  # fails inside the CSV writer
+        ("convert", "--from", "counts", "--to", "lu", '{"w_plus":6,"w_total":10}'),
+    ],
+)
+def test_full_stdout_is_a_one_line_error(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "evcalc.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
 # --- demos ---

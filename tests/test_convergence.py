@@ -190,6 +190,17 @@ def test_record_every_keeps_start_and_final():
         run_dual_track(spec, UNIT, record_every=0)
 
 
+def test_unit_weight_whose_support_rounds_to_one_is_rejected():
+    # from 54 ln 2 on, 1 - e^-w rounds to 1: one outcome would be certain
+    # evidence and the first opposite outcome a total conflict
+    spec = StreamSpec(mode="frequency_faithful", steps=10, q=0.5)
+    bound = 54 * math.log(2)
+    for unit in (UnitWeights(40.0, 1.0), UnitWeights(1.0, bound)):
+        with pytest.raises(ValidationError, match="must be below 54 ln 2"):
+            _dual_track_rows(spec, unit)  # raised before the first row is asked for
+    assert run_dual_track(spec, UnitWeights(math.nextafter(bound, 0.0), 1.0)).final.t == 10
+
+
 # --- CSV ---
 
 

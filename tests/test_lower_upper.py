@@ -10,6 +10,7 @@ from evcalc import (
     BeliefInterval,
     ConflictReport,
     EvidenceCounts,
+    EvidenceWeights,
     FrequencyInterval,
     InfiniteEvidenceError,
     ValidationError,
@@ -20,10 +21,15 @@ from evcalc import (
     combine_points,
     combine_with_point,
     counts_from_interval,
+    counts_from_weights,
+    delta_limit,
     frequency,
     ignorance,
     interval_from_counts,
     lu_from_belpl,
+    lu_from_weights,
+    pool_lu,
+    weights_from_counts,
 )
 from strategies import evidence_counts, finite_weights, weighted_intervals
 
@@ -50,13 +56,19 @@ def test_counts_from_interval_examples():
     assert c.w_total == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(InfiniteEvidenceError):
         counts_from_interval(FrequencyInterval.point(0.5))
+    with pytest.raises(InfiniteEvidenceError):
+        counts_from_weights(EvidenceWeights.infinite(0.0))
 
 
-@given(c=evidence_counts())
-def test_counts_round_trip(c):
-    back = counts_from_interval(interval_from_counts(c))
-    assert back.w_plus == pytest.approx(c.w_plus, rel=1e-9, abs=1e-9)
-    assert back.w_total == pytest.approx(c.w_total, rel=1e-9, abs=1e-9)
+@given(c=evidence_counts(), w=finite_weights())
+def test_counts_round_trip(c, w):
+    for back in (counts_from_interval(interval_from_counts(c)), counts_from_weights(weights_from_counts(c))):
+        assert back.w_plus == pytest.approx(c.w_plus, rel=1e-9, abs=1e-9)
+        assert back.w_total == pytest.approx(c.w_total, rel=1e-9, abs=1e-9)
+    # weights -> lu -> counts -> weights
+    back = weights_from_counts(counts_from_interval(lu_from_weights(w)))
+    assert back.w_plus == pytest.approx(w.w_plus, rel=1e-9, abs=1e-9)
+    assert back.w_minus == pytest.approx(w.w_minus, rel=1e-9, abs=1e-9)
 
 
 @given(c=evidence_counts())
@@ -185,6 +197,22 @@ def test_conflicting_points_are_reported_not_merged():
         combine_points(FrequencyInterval.point(0.5), FrequencyInterval(0.2, 0.9))
 
 
+@pytest.mark.parametrize(
+    "f1, f2, expected",
+    [
+        (FrequencyInterval(0.3, 0.5), FrequencyInterval(0.2, 0.9),
+         combine_lu(FrequencyInterval(0.3, 0.5), FrequencyInterval(0.2, 0.9))),
+        (FrequencyInterval.point(0.51), FrequencyInterval(0.2, 0.9), FrequencyInterval.point(0.51)),
+        (FrequencyInterval(0.2, 0.9), FrequencyInterval.point(0.51), FrequencyInterval.point(0.51)),
+        (FrequencyInterval.point(0.5), FrequencyInterval.point(0.5 + 5e-13), FrequencyInterval.point(0.5)),
+        (FrequencyInterval.point(0.51), FrequencyInterval.point(0.99), ConflictReport(0.51, 0.99)),
+    ],
+    ids=["intervals", "point-interval", "interval-point", "equal-points", "unequal-points"],
+)
+def test_pool_lu_follows_the_protocol(f1, f2, expected):
+    assert pool_lu(f1, f2) == expected
+
+
 # --- bridge to the belief scale ---
 
 
@@ -194,6 +222,7 @@ def test_lu_from_belpl_examples():
     assert fi.l == pytest.approx(LN2 / (LN2 + 1.0), abs=1e-12)
     assert fi.u == 1.0
     assert lu_from_belpl(BeliefInterval(0.5, 0.5)) == FrequencyInterval.point(0.5)
+    assert lu_from_weights(EvidenceWeights.infinite(1.5)) == FrequencyInterval.point(delta_limit(1.5))
 
 
 def test_belpl_from_lu_examples():
