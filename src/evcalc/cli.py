@@ -80,8 +80,8 @@ class _UsageError(Exception):
 
 @contextlib.contextmanager
 def _writing_stdout():
-    """Writes to stdout.  If one fails, stdout is pointed at devnull so the
-    interpreter's final flush of what is left stays quiet; a reader that
+    """Guard writes to stdout.  If one fails, stdout is pointed at devnull so
+    the interpreter's final flush of what is left stays quiet; a reader that
     went away (`evcalc simulate ... | head`) passes on as BrokenPipeError,
     any other failure (`> /dev/full`) becomes a one-line usage error."""
     try:
