@@ -25,9 +25,7 @@ from .convergence import (
 )
 from .dempster import (
     CONFLICT_TOLERANCE,
-    GeneralMass,
     bernoulli_combine,
-    combine_general,
     combine_interval,
     combine_mass,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "EvidenceCounts",
     "EvidenceWeights",
     "FrequencyInterval",
-    "GeneralMass",
     "InfiniteEvidenceError",
     "LimitReport",
     "MassAssignment",
@@ -95,7 +92,6 @@ __all__ = [
     "bernoulli_combine",
     "check_limits",
     "classify_limit",
-    "combine_general",
     "combine_interval",
     "combine_lu",
     "combine_mass",

@@ -11,9 +11,8 @@ all the weight-of-evidence machinery works on intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import ValidationError, parse_object
+from .errors import ValidationError, _Value, parse_object
 
 #: Tolerance for the sum-to-one invariant; inputs inside it are renormalized
 #: (serialized values accumulate decimal rounding noise).
@@ -54,26 +53,24 @@ def _unit_pair(lo: float, hi: float, lo_name: str, hi_name: str, tolerance: floa
     return lo, hi
 
 
-@dataclass(frozen=True)
-class MassAssignment:
+class MassAssignment(_Value):
     """Mass on {H}, {not-H} and the frame; must sum to one."""
 
-    m_h: float
-    m_not_h: float
-    m_theta: float
+    _fields = ("m_h", "m_not_h", "m_theta")
 
-    def __post_init__(self):
-        h = _clamp_unit(self.m_h, "m_h")
-        nh = _clamp_unit(self.m_not_h, "m_not_h")
-        th = _clamp_unit(self.m_theta, "m_theta")
+    def __init__(self, m_h: float, m_not_h: float, m_theta: float):
+        h = _clamp_unit(m_h, "m_h")
+        nh = _clamp_unit(m_not_h, "m_not_h")
+        th = _clamp_unit(m_theta, "m_theta")
         total = h + nh + th
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValidationError(f"masses must sum to 1, got {total!r}")
         if total != 1.0:
             h, nh, th = h / total, nh / total, th / total
-        object.__setattr__(self, "m_h", h)
-        object.__setattr__(self, "m_not_h", nh)
-        object.__setattr__(self, "m_theta", th)
+        fields = self.__dict__
+        fields["m_h"] = h
+        fields["m_not_h"] = nh
+        fields["m_theta"] = th
 
     @classmethod
     def vacuous(cls) -> MassAssignment:
@@ -88,8 +85,7 @@ class MassAssignment:
         return parse_object("mass", data, lambda d: cls(float(d["m_h"]), float(d["m_not_h"]), float(d["m_theta"])))
 
 
-@dataclass(frozen=True)
-class BeliefInterval:
+class BeliefInterval(_Value):
     """The pair (Bel({H}), Pl({H})); bel == pl is the Bayesian special case.
 
     A value built from weights by belief_from_weights also carries its
@@ -101,17 +97,17 @@ class BeliefInterval:
     equals the plain BeliefInterval(bel, pl) of the same pair.
     """
 
-    bel: float
-    pl: float
+    _fields = ("bel", "pl")
 
     # (1 - pl, pl - bel) as carried, set only by _carrying(); plain values
     # derive both parts from (bel, pl)
     _carried = None
 
-    def __post_init__(self):
-        bel, pl = _unit_pair(self.bel, self.pl, "bel", "pl", SUM_TOLERANCE)
-        object.__setattr__(self, "bel", bel)
-        object.__setattr__(self, "pl", pl)
+    def __init__(self, bel: float, pl: float):
+        bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
+        fields = self.__dict__
+        fields["bel"] = bel
+        fields["pl"] = pl
 
     @property
     def is_bayesian(self) -> bool:
@@ -125,7 +121,7 @@ class BeliefInterval:
     def _carrying(cls, bel: float, m_not_h: float, m_theta: float) -> BeliefInterval:
         """The interval (bel, bel + m_theta), carrying m_not_h and m_theta."""
         iv = cls(bel, bel + m_theta)
-        # not a dataclass field, so it stays out of ==, hash and repr
+        # not in _fields, so it stays out of ==, hash and repr
         iv.__dict__["_carried"] = (m_not_h, m_theta)
         return iv
 

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
 from .dempster import _combine_pairs
-from .errors import ValidationError
+from .errors import ValidationError, _Value
 from .evidence_scale import UnitWeights, classify_limit, delta_limit, support_from_weight
 from .lower_upper import DEFAULT_HORIZON, POINT_TOLERANCE, EvidenceCounts, _frequency
 from .rng import _bernoulli_outcomes
@@ -33,49 +32,49 @@ MODES = ("bernoulli", "frequency_faithful", "delta_profile", "explicit")
 CSV_HEADER = "t,t_plus,bel,pl,l,u,f"
 
 
-@dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(_Value):
     """Description of an outcome stream; equal specs replay identically."""
 
-    mode: str
-    steps: int | None = None
-    q: float | None = None
-    delta: float | None = None
-    seed: int = 0
-    outcomes: tuple[bool, ...] | None = None
+    _fields = ("mode", "steps", "q", "delta", "seed", "outcomes")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "explicit":
-            if self.outcomes is None:
+    def __init__(
+        self,
+        mode: str,
+        steps: int | None = None,
+        q: float | None = None,
+        delta: float | None = None,
+        seed: int = 0,
+        outcomes: tuple[bool, ...] | None = None,
+    ):
+        if mode not in MODES:
+            raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+        if mode == "explicit":
+            if outcomes is None:
                 raise ValidationError("explicit mode needs an outcomes sequence")
-            outcomes = tuple(bool(o) for o in self.outcomes)
-            object.__setattr__(self, "outcomes", outcomes)
-            if self.steps is None:
-                object.__setattr__(self, "steps", len(outcomes))
-            elif self.steps != len(outcomes):
-                raise ValidationError(
-                    f"steps={self.steps} does not match {len(outcomes)} explicit outcomes"
-                )
-            return
-        if self.steps is None or int(self.steps) != self.steps or self.steps < 0:
-            raise ValidationError(f"steps must be a nonnegative integer, got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
-        if self.mode in ("bernoulli", "frequency_faithful"):
-            if self.q is None or not 0.0 <= self.q <= 1.0:
-                raise ValidationError(f"q must be in [0, 1], got {self.q!r}")
-            if int(self.seed) != self.seed or self.seed < 0:
-                raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        else:  # delta_profile
-            if self.delta is None:
-                raise ValidationError("delta_profile mode needs delta")
-            d = float(self.delta)
-            if not d.is_integer() or d < 0.0:
-                raise ValidationError(
-                    f"delta_profile supports only integer delta >= 0 under unit weights, got {self.delta!r}"
-                )
-            object.__setattr__(self, "delta", d)
+            outcomes = tuple(bool(o) for o in outcomes)
+            if steps is None:
+                steps = len(outcomes)
+            elif steps != len(outcomes):
+                raise ValidationError(f"steps={steps} does not match {len(outcomes)} explicit outcomes")
+        else:
+            if steps is None or int(steps) != steps or steps < 0:
+                raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
+            steps = int(steps)
+            if mode in ("bernoulli", "frequency_faithful"):
+                if q is None or not 0.0 <= q <= 1.0:
+                    raise ValidationError(f"q must be in [0, 1], got {q!r}")
+                if int(seed) != seed or seed < 0:
+                    raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+            else:  # delta_profile
+                if delta is None:
+                    raise ValidationError("delta_profile mode needs delta")
+                d = float(delta)
+                if not d.is_integer() or d < 0.0:
+                    raise ValidationError(
+                        f"delta_profile supports only integer delta >= 0 under unit weights, got {delta!r}"
+                    )
+                delta = d
+        self.__dict__.update(mode=mode, steps=steps, q=q, delta=delta, seed=seed, outcomes=outcomes)
 
 
 def generate_stream(spec: StreamSpec) -> list[bool]:
@@ -136,11 +135,13 @@ def _write_csv(rows: Iterable[tuple], out: TextIO) -> tuple | None:
     return row
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Value):
     """Time-indexed record of both calculi's states along one stream."""
 
-    rows: tuple[TrajectoryRow, ...]
+    _fields = ("rows",)
+
+    def __init__(self, rows: tuple[TrajectoryRow, ...]):
+        self.__dict__["rows"] = rows
 
     @property
     def final(self) -> TrajectoryRow:
@@ -216,23 +217,56 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
             l, u = w_plus / scale, (w_plus + k) / scale
             if not 0.0 <= l <= u <= 1.0:
                 l, u = _unit_pair(l, u, "l", "u", POINT_TOLERANCE)
-            yield t, t_plus, bel, pl, l, u, None if w == 0.0 else _frequency(l, u)
+            if w == 0.0:
+                f = None
+            elif u == 1.0 and l == 0.0:  # w below half an ulp of k: the bounds lost it
+                f = w_plus / w
+            else:
+                f = _frequency(l, u)
+            yield t, t_plus, bel, pl, l, u, f
 
 
-@dataclass(frozen=True)
-class LimitReport:
+class LimitReport(_Value):
     """Final trajectory row checked against the analytic limits."""
 
-    mode: str
-    final: TrajectoryRow
-    predicted_limit: float | None = None
-    bel_gap_to_prediction: float | None = None
-    q: float | None = None
-    freq_gap_to_q: float | None = None
-    lower_gap_to_q: float | None = None
-    delta: float | None = None
-    analytic_point: float | None = None
-    bel_gap_to_analytic: float | None = None
+    _fields = (
+        "mode",
+        "final",
+        "predicted_limit",
+        "bel_gap_to_prediction",
+        "q",
+        "freq_gap_to_q",
+        "lower_gap_to_q",
+        "delta",
+        "analytic_point",
+        "bel_gap_to_analytic",
+    )
+
+    def __init__(
+        self,
+        mode: str,
+        final: TrajectoryRow,
+        predicted_limit: float | None = None,
+        bel_gap_to_prediction: float | None = None,
+        q: float | None = None,
+        freq_gap_to_q: float | None = None,
+        lower_gap_to_q: float | None = None,
+        delta: float | None = None,
+        analytic_point: float | None = None,
+        bel_gap_to_analytic: float | None = None,
+    ):
+        self.__dict__.update(
+            mode=mode,
+            final=final,
+            predicted_limit=predicted_limit,
+            bel_gap_to_prediction=bel_gap_to_prediction,
+            q=q,
+            freq_gap_to_q=freq_gap_to_q,
+            lower_gap_to_q=lower_gap_to_q,
+            delta=delta,
+            analytic_point=analytic_point,
+            bel_gap_to_analytic=bel_gap_to_analytic,
+        )
 
     def to_dict(self) -> dict:
         final = self.final
@@ -246,16 +280,7 @@ class LimitReport:
             "u": final.lu_u,
             "f": final.freq,
         }
-        for key in (
-            "predicted_limit",
-            "bel_gap_to_prediction",
-            "q",
-            "freq_gap_to_q",
-            "lower_gap_to_q",
-            "delta",
-            "analytic_point",
-            "bel_gap_to_analytic",
-        ):
+        for key in self._fields[2:]:
             value = getattr(self, key)
             if value is not None:
                 out[key] = value

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, the JSON object parser and the value base class."""
+
+from operator import attrgetter
 
 
 class ValidationError(ValueError):
@@ -30,3 +32,38 @@ def parse_object(what: str, data, build):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"bad {what} object: {data!r}") from exc
+
+
+class _Value:
+    """Base of the immutable value types.
+
+    A subclass names its fields in _fields and sets each one once in its
+    __init__, through self.__dict__.  Equality (within one class only), hash
+    and repr go over those fields in that order, as for a frozen dataclass;
+    assigning or deleting an attribute raises AttributeError.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field values in order (a lone field's value bare)
+        cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

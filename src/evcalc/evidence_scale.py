@@ -13,10 +13,9 @@ than a capped large number (a cap would destroy the limit).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval
-from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, parse_object
+from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _Value, parse_object
 
 #: Exact-tie tolerance for the limit classification.
 TIE_TOLERANCE = 1e-12
@@ -25,8 +24,7 @@ FINITE = "finite"
 INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
-class EvidenceWeights:
+class EvidenceWeights(_Value):
     """Weights of positive and negative evidence for one hypothesis.
 
     kind "finite" carries (w_plus, w_minus); kind "infinite" carries only
@@ -34,36 +32,33 @@ class EvidenceWeights:
     endpoints 0 and 1 of the belief scale).
     """
 
-    kind: str
-    w_plus: float | None = None
-    w_minus: float | None = None
-    delta: float | None = None
+    _fields = ("kind", "w_plus", "w_minus", "delta")
 
-    def __post_init__(self):
-        if self.kind == FINITE:
-            if self.w_plus is None or self.w_minus is None:
+    def __init__(
+        self, kind: str, w_plus: float | None = None, w_minus: float | None = None, delta: float | None = None
+    ):
+        if kind == FINITE:
+            if w_plus is None or w_minus is None:
                 raise ValidationError("finite weights need both w_plus and w_minus")
-            wp, wm = float(self.w_plus), float(self.w_minus)
+            wp, wm = float(w_plus), float(w_minus)
             if not (math.isfinite(wp) and math.isfinite(wm)) or wp < -SUM_TOLERANCE or wm < -SUM_TOLERANCE:
-                raise ValidationError(
-                    f"weights must be finite and nonnegative, got ({self.w_plus!r}, {self.w_minus!r})"
-                )
+                raise ValidationError(f"weights must be finite and nonnegative, got ({w_plus!r}, {w_minus!r})")
             # rounding noise from log-based inversions may dip just below zero
-            wp, wm = max(wp, 0.0), max(wm, 0.0)
-            object.__setattr__(self, "w_plus", wp)
-            object.__setattr__(self, "w_minus", wm)
-            object.__setattr__(self, "delta", None)
-        elif self.kind == INFINITE:
-            if self.delta is None:
+            w_plus, w_minus, delta = max(wp, 0.0), max(wm, 0.0), None
+        elif kind == INFINITE:
+            if delta is None:
                 raise ValidationError("infinite weights need delta, the w_minus - w_plus limit")
-            d = float(self.delta)
-            if math.isnan(d):
+            delta = float(delta)
+            if math.isnan(delta):
                 raise ValidationError("delta must not be NaN")
-            object.__setattr__(self, "delta", d)
-            object.__setattr__(self, "w_plus", None)
-            object.__setattr__(self, "w_minus", None)
+            w_plus = w_minus = None
         else:
-            raise ValidationError(f"unknown weights kind {self.kind!r}")
+            raise ValidationError(f"unknown weights kind {kind!r}")
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["w_plus"] = w_plus
+        fields["w_minus"] = w_minus
+        fields["delta"] = delta
 
     @classmethod
     def finite(cls, w_plus: float, w_minus: float) -> EvidenceWeights:
@@ -94,19 +89,18 @@ class EvidenceWeights:
         return parse_object("weights", data, build)
 
 
-@dataclass(frozen=True)
-class UnitWeights:
+class UnitWeights(_Value):
     """Weight carried by a single positive or negative outcome."""
 
-    w0_plus: float = 1.0
-    w0_minus: float = 1.0
+    _fields = ("w0_plus", "w0_minus")
 
-    def __post_init__(self):
-        for name, value in (("w0_plus", self.w0_plus), ("w0_minus", self.w0_minus)):
+    def __init__(self, w0_plus: float = 1.0, w0_minus: float = 1.0):
+        fields = self.__dict__
+        for name, value in (("w0_plus", w0_plus), ("w0_minus", w0_minus)):
             value = float(value)
             if not math.isfinite(value) or value <= 0.0:
                 raise ValidationError(f"{name} must be a finite positive real, got {value!r}")
-            object.__setattr__(self, name, value)
+            fields[name] = value
 
 
 def support_from_weight(w: float) -> float:

@@ -13,10 +13,9 @@ that no finite amount of further evidence can move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .binary_frame import BeliefInterval, _unit_pair
-from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, parse_object
+from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _Value, parse_object
 from .evidence_scale import EvidenceWeights, belief_from_weights, delta_limit, weights_from_belief
 
 #: Two points closer than this are the same convention.
@@ -29,17 +28,16 @@ KIND_INTERVAL = "interval"
 KIND_POINT = "point"
 
 
-@dataclass(frozen=True)
-class FrequencyInterval:
+class FrequencyInterval(_Value):
     """Lower and upper frequency pair; zero width means infinite evidence."""
 
-    l: float
-    u: float
+    _fields = ("l", "u")
 
-    def __post_init__(self):
-        l, u = _unit_pair(self.l, self.u, "l", "u", POINT_TOLERANCE)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "u", u)
+    def __init__(self, l: float, u: float):
+        l, u = _unit_pair(l, u, "l", "u", POINT_TOLERANCE)
+        fields = self.__dict__
+        fields["l"] = l
+        fields["u"] = u
 
     @property
     def is_point(self) -> bool:
@@ -74,23 +72,22 @@ class FrequencyInterval:
         return parse_object("frequency", data, build)
 
 
-@dataclass(frozen=True)
-class EvidenceCounts:
+class EvidenceCounts(_Value):
     """Accumulated positive and total evidence weight (reals, not integers)."""
 
-    w_plus: float
-    w_total: float
+    _fields = ("w_plus", "w_total")
 
-    def __post_init__(self):
-        wp, wt = float(self.w_plus), float(self.w_total)
+    def __init__(self, w_plus: float, w_total: float):
+        wp, wt = float(w_plus), float(w_total)
         if not (math.isfinite(wp) and math.isfinite(wt)) or wp < 0.0 or wt < 0.0:
             raise ValidationError(f"counts must be finite and nonnegative, got ({wp!r}, {wt!r})")
         if wp > wt:
             if wp - wt > 1e-9 * max(1.0, wt):
                 raise ValidationError(f"w_plus must not exceed w_total, got ({wp!r}, {wt!r})")
             wp = wt
-        object.__setattr__(self, "w_plus", wp)
-        object.__setattr__(self, "w_total", wt)
+        fields = self.__dict__
+        fields["w_plus"] = wp
+        fields["w_total"] = wt
 
     def __add__(self, other: EvidenceCounts) -> EvidenceCounts:
         return EvidenceCounts(self.w_plus + other.w_plus, self.w_total + other.w_total)
@@ -103,16 +100,19 @@ class EvidenceCounts:
         return parse_object("counts", data, lambda d: cls(float(d["w_plus"]), float(d["w_total"])))
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(_Value):
     """Two unequal infinite-evidence points: reported, never merged.
 
     This is a normal outcome handed back to whoever maintains the
     conventions, not a failure of the calculus.
     """
 
-    first: float
-    second: float
+    _fields = ("first", "second")
+
+    def __init__(self, first: float, second: float):
+        fields = self.__dict__
+        fields["first"] = first
+        fields["second"] = second
 
     def to_dict(self) -> dict:
         return {"conflict": [self.first, self.second]}

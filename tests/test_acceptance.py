@@ -16,14 +16,12 @@ from evcalc import (
     EvidenceCounts,
     EvidenceWeights,
     FrequencyInterval,
-    GeneralMass,
     MassAssignment,
     SplitMix64,
     StreamSpec,
     UnitWeights,
     belief_from_weights,
     bernoulli_combine,
-    combine_general,
     combine_interval,
     combine_lu,
     combine_mass,
@@ -35,6 +33,7 @@ from evcalc import (
     run_dual_track,
     weights_from_belief,
 )
+from oracle import GeneralMass, combine_general
 
 SEED = 2024
 UNIT = UnitWeights()

@@ -246,6 +246,13 @@ def test_simulate_bad_flags(capsys, argv):
     assert code == 1
 
 
+def test_simulate_tiny_unit_weight_ends_in_a_frequency(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--q", "0", "--steps", "3", "--w0-neg", "1e-17")
+    assert code == 0
+    assert out.splitlines()[-1] == "3,0,0,1,0,1,0"
+    assert "final row: t=3" in err
+
+
 def test_simulate_unwritable_out_is_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "run.csv"
     code, out, err = run_cli(capsys, "simulate", "--q", "0.7", "--steps", "10", "--out", str(target))
@@ -288,6 +295,24 @@ def test_full_stdout_is_a_one_line_error(argv):
         )
     assert proc.returncode == 1
     assert proc.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_import_loads_no_dataclass_machinery():
+    # compared with a bare interpreter, so a site hook that preloads either
+    # module does not count against the import
+    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
+    probe = "import sys; {}print(' '.join(sorted(sys.modules)))"
+
+    def loaded(statement):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe.format(statement)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    added = loaded("import evcalc.cli; ") - loaded("")
+    assert "evcalc.cli" in added
+    assert not added & {"dataclasses", "inspect"}
 
 
 # --- demos ---

@@ -201,6 +201,17 @@ def test_unit_weight_whose_support_rounds_to_one_is_rejected():
     assert run_dual_track(spec, UnitWeights(math.nextafter(bound, 0.0), 1.0)).final.t == 10
 
 
+def test_tiny_unit_weight_rows_keep_their_frequency():
+    # w + 1 rounds to 1, so the recorded bounds are (0, 1) although
+    # outcomes were seen; f comes from the accumulated weights instead
+    spec = StreamSpec(mode="explicit", outcomes=(False, False, False))
+    rows = run_dual_track(spec, UnitWeights(1.0, 1e-17)).rows
+    assert [(row.lu_l, row.lu_u) for row in rows] == [(0.0, 1.0)] * 4
+    assert [row.freq for row in rows] == [None, 0.0, 0.0, 0.0]
+    positive = run_dual_track(StreamSpec(mode="explicit", outcomes=(True, False)), UnitWeights(1e-17, 1.0))
+    assert positive.rows[1].freq == 1.0
+
+
 # --- CSV ---
 
 

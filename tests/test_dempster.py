@@ -5,16 +5,15 @@ from hypothesis import given
 
 from evcalc import (
     BeliefInterval,
-    GeneralMass,
     MassAssignment,
     TotalConflictError,
     ValidationError,
     bernoulli_combine,
-    combine_general,
     combine_interval,
     combine_mass,
     mass_to_interval,
 )
+from oracle import GeneralMass, combine_general
 from strategies import mass_assignments, unit_floats
 
 
