@@ -39,14 +39,13 @@ class _Value:
 
     A subclass names its fields in _fields and sets each one once in its
     __init__, through self.__dict__.  Equality (within one class only), hash
-    and repr go over those fields in that order, as for a frozen dataclass;
-    assigning or deleting an attribute raises AttributeError.
+    and repr go over those fields in that order, and assigning or deleting
+    an attribute raises AttributeError.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         # the field values in order (a lone field's value bare)
         cls._key = staticmethod(attrgetter(*cls._fields))
 
