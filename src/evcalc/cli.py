@@ -28,7 +28,7 @@ import os
 import sys
 
 from .binary_frame import BeliefInterval
-from .convergence import StreamSpec, Trajectory, TrajectoryRow, _dual_track_rows, _write_csv, check_limits
+from .convergence import StreamSpec, _dual_track_rows, _write_csv
 from .dempster import combine_interval
 from .errors import (
     InfiniteEvidenceError,
@@ -40,6 +40,7 @@ from .evidence_scale import (
     EvidenceWeights,
     UnitWeights,
     belief_from_weights,
+    classify_limit,
     delta_limit,
     weights_from_belief,
 )
@@ -101,7 +102,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise _UsageError(f"malformed JSON: {exc}") from exc
 
 
@@ -153,59 +154,54 @@ def _cmd_simulate(args) -> tuple[int, None]:
         with _writing_stdout():
             final = _write_csv(rows, sys.stdout)
             sys.stdout.flush()  # the summary below is only for a CSV that was written
-    final = TrajectoryRow._make(final)
-    report = check_limits(Trajectory((final,)), spec, unit)
-    f = "" if final.freq is None else f"{final.freq:.12g}"
+    t, t_plus, bel, pl, l, u, f = final
+    f = "" if f is None else f"{f:.12g}"
     print(
-        f"final row: t={final.t} t_plus={final.t_plus} bel={final.ds_bel:.12g} "
-        f"pl={final.ds_pl:.12g} l={final.lu_l:.12g} u={final.lu_u:.12g} f={f}",
+        f"final row: t={t} t_plus={t_plus} bel={bel:.12g} pl={pl:.12g} l={l:.12g} u={u:.12g} f={f}",
         file=sys.stderr,
     )
-    print(f"predicted dempster limit: {report.predicted_limit:.12g}", file=sys.stderr)
+    print(f"predicted dempster limit: {classify_limit(args.q, unit):.12g}", file=sys.stderr)
     return EXIT_OK, None
 
 
-def _final_row(spec: StreamSpec, unit: UnitWeights) -> TrajectoryRow:
-    """The last row of the fold; the rows before it are dropped as they come."""
+def _final_row(spec: StreamSpec, unit: UnitWeights) -> tuple:
+    """The last (t, t_plus, bel, pl, l, u, f) row of the fold; the rows
+    before it are dropped as they come."""
     for row in _dual_track_rows(spec, unit):
         pass
-    return TrajectoryRow._make(row)
+    return row
 
 
 def _cmd_defect_demo(args) -> tuple[int, dict]:
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     spec = StreamSpec(mode="frequency_faithful", steps=args.steps, q=args.q)
-    final = _final_row(spec, unit)
-    report = check_limits(Trajectory((final,)), spec, unit)
+    _, _, bel, pl, l, u, f = _final_row(spec, unit)
     return EXIT_OK, {
         "q": args.q,
         "steps": args.steps,
-        "predicted_dempster_limit": report.predicted_limit,
-        "final_bel": final.ds_bel,
-        "final_pl": final.ds_pl,
-        "final_l": final.lu_l,
-        "final_u": final.lu_u,
-        "final_f": final.freq,
-        "dempster_gap_to_q": abs(final.ds_bel - args.q),
-        "lower_frequency_gap_to_q": abs(final.lu_l - args.q),
+        "predicted_dempster_limit": classify_limit(args.q, unit),
+        "final_bel": bel,
+        "final_pl": pl,
+        "final_l": l,
+        "final_u": u,
+        "final_f": f,
+        "dempster_gap_to_q": abs(bel - args.q),
+        "lower_frequency_gap_to_q": abs(l - args.q),
     }
 
 
 def _cmd_delta_demo(args) -> tuple[int, dict]:
-    if args.delta < 0 or args.delta != int(args.delta):
-        raise _UsageError(f"delta must be a nonnegative integer, got {args.delta!r}")
-    if args.steps < args.delta:
+    spec = StreamSpec(mode="delta_profile", steps=args.steps, delta=args.delta)  # checks delta
+    if args.steps < spec.delta:
         raise _UsageError("steps must be at least delta")
-    delta = float(int(args.delta))
-    spec = StreamSpec(mode="delta_profile", steps=args.steps, delta=delta)
-    final = _final_row(spec, UnitWeights())
-    analytic = delta_limit(delta)
+    bel = _final_row(spec, UnitWeights())[2]
+    analytic = delta_limit(spec.delta)
     return EXIT_OK, {
-        "delta": int(delta),
+        "delta": int(spec.delta),
         "steps": args.steps,
-        "final_bel": final.ds_bel,
+        "final_bel": bel,
         "analytic_limit": analytic,
-        "abs_difference": abs(final.ds_bel - analytic),
+        "abs_difference": abs(bel - analytic),
     }
 
 

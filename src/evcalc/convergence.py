@@ -24,7 +24,7 @@ from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
 from .dempster import _combine_pairs
 from .errors import ValidationError, _Value
 from .evidence_scale import UnitWeights, classify_limit, delta_limit, support_from_weight
-from .lower_upper import DEFAULT_HORIZON, POINT_TOLERANCE, EvidenceCounts, _frequency
+from .lower_upper import EvidenceCounts
 from .rng import _bernoulli_outcomes
 
 MODES = ("bernoulli", "frequency_faithful", "delta_profile", "explicit")
@@ -183,16 +183,18 @@ def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1)
 
 def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tuple]:
     # Each step is combine_interval against a fixed support plus the repair
-    # BeliefInterval applies, and each recorded row is interval_from_counts
-    # and frequency at the default horizon; all of it on plain floats, so no
-    # value object is built per step.  _unit_pair is called only for a pair
-    # outside 0 <= lo <= hi <= 1, its own no-repair test: the call would
-    # cost a third of a step.
+    # BeliefInterval applies, on plain floats, so no value object is built
+    # per step.  _unit_pair is called only for a pair outside
+    # 0 <= bel <= pl <= 1, its own no-repair test: the call would cost a
+    # third of a step.  Each recorded row is interval_from_counts of the
+    # accumulated weights, which needs no repair (0 <= w_plus <= w and
+    # rounding is monotone), and the frequency w_plus / w from the counts
+    # themselves, not read back from the rounded bounds.  Every row after
+    # the first has w > 0, as each unit weight is positive.
     pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
     neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
     pos_bel, pos_pl, neg_bel, neg_pl = pos.bel, pos.pl, neg.bel, neg.pl
     w0_plus, w0_minus = unit.w0_plus, unit.w0_minus
-    k = DEFAULT_HORIZON
     total_steps = spec.steps
     bel, pl = 0.0, 1.0
     w_plus = w_minus = 0.0
@@ -213,17 +215,8 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
             w = w_plus + w_minus
             if not math.isfinite(w):
                 EvidenceCounts(w_plus, w)  # raises: the accumulated weight overflowed
-            scale = w + k
-            l, u = w_plus / scale, (w_plus + k) / scale
-            if not 0.0 <= l <= u <= 1.0:
-                l, u = _unit_pair(l, u, "l", "u", POINT_TOLERANCE)
-            if w == 0.0:
-                f = None
-            elif u == 1.0 and l == 0.0:  # w below half an ulp of k: the bounds lost it
-                f = w_plus / w
-            else:
-                f = _frequency(l, u)
-            yield t, t_plus, bel, pl, l, u, f
+            scale = w + 1.0
+            yield t, t_plus, bel, pl, w_plus / scale, (w_plus + 1.0) / scale, w_plus / w
 
 
 class LimitReport(_Value):

@@ -1,11 +1,9 @@
 """Lower and upper frequency intervals.
 
 A body of evidence with positive weight w+ out of total w is summarized by
-the interval [w+/(w+k), (w+ + k)/(w+k)]: the range the observed frequency
-can move over before the next k units of evidence arrive.  The default
-horizon is k = 1, one unit of evidence; any positive horizon works and all
-formulas here stay consistent under a fixed choice.  The width 1/(w+k) is
-the degree of ignorance: 1 with no evidence, 0 in the infinite-evidence
+the interval [w+/(w+1), (w+ + 1)/(w+1)]: the range the observed frequency
+can move over before the next unit of evidence arrives.  The width 1/(w+1)
+is the degree of ignorance: 1 with no evidence, 0 in the infinite-evidence
 limit, where the interval degenerates to a probability fixed by convention
 that no finite amount of further evidence can move.
 """
@@ -20,9 +18,6 @@ from .evidence_scale import EvidenceWeights, belief_from_weights, delta_limit, w
 
 #: Two points closer than this are the same convention.
 POINT_TOLERANCE = 1e-12
-
-#: Default horizon constant k in the interval bounds.
-DEFAULT_HORIZON = 1.0
 
 KIND_INTERVAL = "interval"
 KIND_POINT = "point"
@@ -118,40 +113,27 @@ class ConflictReport(_Value):
         return {"conflict": [self.first, self.second]}
 
 
-def _require_horizon(horizon: float) -> float:
-    horizon = float(horizon)
-    if not math.isfinite(horizon) or horizon <= 0.0:
-        raise ValidationError(f"horizon must be a finite positive real, got {horizon!r}")
-    return horizon
+def interval_from_counts(c: EvidenceCounts) -> FrequencyInterval:
+    """l = w+/(w+1) and u = (w+ + 1)/(w+1)."""
+    scale = c.w_total + 1.0
+    return FrequencyInterval(c.w_plus / scale, (c.w_plus + 1.0) / scale)
 
 
-def interval_from_counts(c: EvidenceCounts, horizon: float = DEFAULT_HORIZON) -> FrequencyInterval:
-    """l = w+/(w+k) and u = (w+ + k)/(w+k) for horizon k."""
-    k = _require_horizon(horizon)
-    scale = c.w_total + k
-    return FrequencyInterval(c.w_plus / scale, (c.w_plus + k) / scale)
-
-
-def counts_from_interval(fi: FrequencyInterval, horizon: float = DEFAULT_HORIZON) -> EvidenceCounts:
+def counts_from_interval(fi: FrequencyInterval) -> EvidenceCounts:
     """Invert interval_from_counts; points have no finite counts."""
-    k = _require_horizon(horizon)
     if fi.is_point:
         raise InfiniteEvidenceError("a point carries infinite evidence, finite counts do not exist")
     width = fi.u - fi.l
-    return EvidenceCounts(k * fi.l / width, k * (1.0 - width) / width)
+    return EvidenceCounts(fi.l / width, (1.0 - width) / width)
 
 
 def frequency(fi: FrequencyInterval) -> float:
     """Observed frequency w+/w recovered from the bounds: l / (l + 1 - u).
 
-    Independent of the horizon; a point is its own frequency; undefined on
-    the zero-evidence interval (0, 1).
+    A point is its own frequency; undefined on the zero-evidence interval
+    (0, 1).
     """
-    return _frequency(fi.l, fi.u)
-
-
-def _frequency(l: float, u: float) -> float:
-    """frequency on the validated bounds of a FrequencyInterval."""
+    l, u = fi.l, fi.u
     if l == u:
         return l
     if l == 0.0 and u == 1.0:
@@ -160,7 +142,7 @@ def _frequency(l: float, u: float) -> float:
 
 
 def ignorance(fi: FrequencyInterval) -> float:
-    """Interval width, 1/(w+k); shrinks monotonically as evidence arrives."""
+    """Interval width, 1/(w+1); shrinks monotonically as evidence arrives."""
     return fi.u - fi.l
 
 
@@ -224,21 +206,21 @@ def counts_from_weights(w: EvidenceWeights) -> EvidenceCounts:
     return EvidenceCounts(w.w_plus, w.w_plus + w.w_minus)
 
 
-def lu_from_weights(w: EvidenceWeights, horizon: float = DEFAULT_HORIZON) -> FrequencyInterval:
+def lu_from_weights(w: EvidenceWeights) -> FrequencyInterval:
     """The frequency interval of weights; infinite ones give a point."""
     if not w.is_finite:
         return FrequencyInterval.point(delta_limit(w.delta))
-    return interval_from_counts(counts_from_weights(w), horizon)
+    return interval_from_counts(counts_from_weights(w))
 
 
-def lu_from_belpl(iv: BeliefInterval, horizon: float = DEFAULT_HORIZON) -> FrequencyInterval:
+def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
     """Carry a belief interval onto the frequency scale through its weights.
 
     Bayesian inputs map to points at 1/(1 + e^{delta}).
     """
-    return lu_from_weights(weights_from_belief(iv), horizon)
+    return lu_from_weights(weights_from_belief(iv))
 
 
-def belpl_from_lu(fi: FrequencyInterval, horizon: float = DEFAULT_HORIZON) -> BeliefInterval:
+def belpl_from_lu(fi: FrequencyInterval) -> BeliefInterval:
     """Inverse of lu_from_belpl; a point has no finite counts (InfiniteEvidenceError)."""
-    return belief_from_weights(weights_from_counts(counts_from_interval(fi, horizon)))
+    return belief_from_weights(weights_from_counts(counts_from_interval(fi)))

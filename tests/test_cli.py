@@ -74,10 +74,16 @@ def test_combine_total_conflict_is_math_error(capsys):
     assert "total conflict" in err
 
 
-def test_combine_malformed_input(capsys):
-    code, _, err = run_cli(capsys, "combine", "--rule", "dempster", "not json", '{"bel":0,"pl":1}')
+def test_combine_malformed_input(capsys, monkeypatch):
+    too_deep = "[" * 5000 + "]" * 5000  # valid, but nested past the parser's recursion limit
+    for bad in ("not json", too_deep):
+        code, _, err = run_cli(capsys, "combine", "--rule", "dempster", bad, '{"bel":0,"pl":1}')
+        assert code == 1
+        assert err.startswith("error: malformed JSON") and err.count("\n") == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    code, _, err = run_cli(capsys, "combine", "--rule", "dempster")
     assert code == 1
-    assert "malformed JSON" in err
+    assert err.startswith("error: malformed JSON") and err.count("\n") == 1
 
 
 def test_combine_needs_two_values(capsys):
@@ -180,9 +186,16 @@ def test_convert_reads_stdin(capsys, monkeypatch):
     assert json.loads(out) == {"kind": "finite", "w_plus": 6.0, "w_minus": 4.0}
 
 
-def test_convert_malformed_value(capsys):
+def test_convert_malformed_value(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "convert", "--from", "belpl", "--to", "lu", '{"bel":0.5}')
     assert code == 1
+    code, _, err = run_cli(capsys, "convert", "--from", "belpl", "--to", "lu", "[" * 5000 + "]" * 5000)
+    assert code == 1
+    assert err.startswith("error: malformed JSON") and err.count("\n") == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100_000))
+    code, _, err = run_cli(capsys, "convert", "--from", "belpl", "--to", "lu")
+    assert code == 1
+    assert err.startswith("error: malformed JSON") and err.count("\n") == 1
 
 
 # --- simulate ---
@@ -247,10 +260,16 @@ def test_simulate_bad_flags(capsys, argv):
 
 
 def test_simulate_tiny_unit_weight_ends_in_a_frequency(capsys):
-    code, out, err = run_cli(capsys, "simulate", "--q", "0", "--steps", "3", "--w0-neg", "1e-17")
-    assert code == 0
-    assert out.splitlines()[-1] == "3,0,0,1,0,1,0"
-    assert "final row: t=3" in err
+    # w + 1 rounds to 1, so the bounds alone cannot give the frequency
+    for argv, last in (
+        (("--q", "0", "--steps", "3", "--w0-neg", "1e-17"), "3,0,0,1,0,1,0"),
+        (("--q", "0.5", "--steps", "4", "--mode", "faithful", "--w0-pos", "1e-17", "--w0-neg", "1e-17"),
+         "4,2,2e-17,1,2e-17,1,0.5"),
+    ):
+        code, out, err = run_cli(capsys, "simulate", *argv)
+        assert code == 0
+        assert out.splitlines()[-1] == last
+        assert f"final row: t={last[0]}" in err
 
 
 def test_simulate_unwritable_out_is_usage_error(capsys, tmp_path):
@@ -334,10 +353,12 @@ def test_delta_demo_symmetric_profile(capsys):
     assert got["final_bel"] == pytest.approx(0.5, abs=1e-6)
 
 
-@pytest.mark.parametrize("delta", ["2.5", "-1"])
+@pytest.mark.parametrize("delta", ["2.5", "-1", "nan", "inf"])
 def test_delta_demo_rejects_bad_delta(capsys, delta):
-    code, _, _ = run_cli(capsys, "delta-demo", "--delta", delta)
+    code, out, err = run_cli(capsys, "delta-demo", "--delta", delta)
     assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_delta_demo_needs_enough_steps(capsys):
@@ -354,6 +375,7 @@ def test_defect_demo_default(capsys):
     assert got["final_bel"] >= 0.999
     assert got["dempster_gap_to_q"] > 0.29  # belief left the chance behind
     assert got["lower_frequency_gap_to_q"] <= 0.001  # the interval did not
+    assert got["final_f"] == 0.7  # 1400 positives in 2000 steps, exactly
 
 
 def test_defect_demo_balanced_case(capsys):

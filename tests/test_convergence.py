@@ -208,6 +208,23 @@ def test_tiny_unit_weight_rows_keep_their_frequency():
     rows = run_dual_track(spec, UnitWeights(1.0, 1e-17)).rows
     assert [(row.lu_l, row.lu_u) for row in rows] == [(0.0, 1.0)] * 4
     assert [row.freq for row in rows] == [None, 0.0, 0.0, 0.0]
+    # both signs tiny: u rounds to 1 while l > 0, so l / (l + 1 - u) would read 1
+    spec = StreamSpec(mode="frequency_faithful", steps=4, q=0.5)
+    freqs = [row.freq for row in run_dual_track(spec, UnitWeights(1e-17, 1e-17)).rows]
+    assert freqs[0] is None
+    assert freqs[1:] == pytest.approx([0.0, 0.5, 1 / 3, 0.5], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [StreamSpec(mode="frequency_faithful", steps=2000, q=q) for q in (0.3, 0.5, 0.7)]
+    + [StreamSpec(mode="bernoulli", steps=2000, q=q, seed=7) for q in (0.3, 0.5, 0.7)],
+    ids=lambda spec: f"{spec.mode}-{spec.q}",
+)
+def test_unit_weight_rows_give_the_exact_outcome_rate(spec):
+    # under unit weights w+ / w is t_plus / t, with no rounding through the bounds
+    rows = run_dual_track(spec, UnitWeights(1.0, 1.0)).rows
+    assert all(row.freq == row.t_plus / row.t for row in rows[1:])
 
 
 # --- CSV ---

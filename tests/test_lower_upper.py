@@ -257,40 +257,6 @@ def test_rule_conjugacy(w1, w2):
     assert lhs.u == pytest.approx(rhs.u, abs=1e-9)
 
 
-# --- configurable horizon ---
-
-
-def test_horizon_scales_the_bounds():
-    fi = interval_from_counts(EvidenceCounts(6, 10), horizon=2.0)
-    assert fi.l == pytest.approx(6 / 12, abs=1e-15)
-    assert fi.u == pytest.approx(8 / 12, abs=1e-15)
-    back = counts_from_interval(fi, horizon=2.0)
-    assert back.w_plus == pytest.approx(6.0, rel=1e-12)
-    assert back.w_total == pytest.approx(10.0, rel=1e-12)
-
-
-@given(c1=evidence_counts(), c2=evidence_counts())
-def test_count_addition_holds_for_any_horizon(c1, c2):
-    k = 2.5
-    pooled = combine_lu(interval_from_counts(c1, horizon=k), interval_from_counts(c2, horizon=k))
-    direct = interval_from_counts(c1 + c2, horizon=k)
-    assert pooled.l == pytest.approx(direct.l, abs=1e-12)
-    assert pooled.u == pytest.approx(direct.u, abs=1e-12)
-
-
-@given(c=evidence_counts(min_total=1e-3))
-def test_frequency_does_not_depend_on_horizon(c):
-    f1 = frequency(interval_from_counts(c, horizon=1.0))
-    f2 = frequency(interval_from_counts(c, horizon=2.5))
-    assert f1 == pytest.approx(f2, rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, float("nan")])
-def test_bad_horizon_rejected(bad):
-    with pytest.raises(ValidationError):
-        interval_from_counts(EvidenceCounts(1, 2), horizon=bad)
-
-
 # --- value types and JSON ---
 
 
