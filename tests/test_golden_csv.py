@@ -3,6 +3,13 @@
 The sha256 values were taken from the object-per-step fold that built every
 row as a dataclass and joined the CSV into one string.  Any later fold or
 writer must reproduce them exactly; a changed digit anywhere fails here.
+
+SIMULATE_CASES pin whole `evcalc simulate` calls (exit code, sha256 of
+stdout, exact stderr), taken from the fold that combined every step.  They
+cover a Bernoulli run whose Dempster track reaches an exact Bayesian point,
+a faithful run that ends in a rounding cycle instead, and two runs with
+heavy unit weights: at (1, 1) a negative outcome is a total conflict, which
+one never meets within its steps and the other meets after four rows.
 """
 
 import hashlib
@@ -64,3 +71,37 @@ def test_cli_out_file_and_summary_match_golden(capsys, tmp_path):
         "final row: t=3001 t_plus=1811 bel=1 pl=1 l=0.60326449034 u=0.603597601599 f=0.603465511496\n"
         "predicted dempster limit: 1\n"
     )
+
+
+# (id, argv, exit code, sha256 of stdout, stderr)
+SIMULATE_CASES = [
+    ("sparse-absorbs",
+     ["simulate", "--mode", "bernoulli", "--q", "0.65", "--steps", "30000", "--record-every", "1000"],
+     0, "00906b448a31d5695f9d4b64b22062843aac42683519e4c5056f550ecbc0edc0",
+     "final row: t=30000 t_plus=19569 bel=1 pl=1 l=0.652278257391 u=0.652311589614 f=0.6523\n"
+     "predicted dempster limit: 1\n"),
+    ("faithful-rounding-cycle",
+     ["simulate", "--mode", "faithful", "--q", "0.62", "--steps", "5000"],
+     0, "97c1bc9489cd4c55b6aba3a81c79c555ff9cc06413d378e55b341a33bb9473ff",
+     "final row: t=5000 t_plus=3100 bel=1 pl=1 l=0.619876024795 u=0.620075984803 f=0.62\n"
+     "predicted dempster limit: 1\n"),
+    ("heavy-conflict-never-met",
+     ["simulate", "--mode", "faithful", "--q", "0.995", "--steps", "50", "--w0-pos", "24.69", "--w0-neg", "36.89"],
+     0, "8f50aa31397de2c4fc8d074bbcd9c537fc1c96627dc30c1a9e19e3cbe9f5dcd2",
+     "final row: t=50 t_plus=49 bel=1 pl=1 l=0.969632123107 u=0.97043359782 f=0.970409882089\n"
+     "predicted dempster limit: 1\n"),
+    ("heavy-conflict-met",
+     ["simulate", "--mode", "bernoulli", "--seed", "759152683", "--q", "0.551", "--steps", "50",
+      "--w0-pos", "28.09", "--w0-neg", "28.47"],
+     2, "4cbe4c63c87815cfb405ee9fb8fe45ec5be3a1719191b86d73881fce0082fd70",
+     "error: total conflict between BeliefInterval(bel=1.0, pl=1.0) and "
+     "BeliefInterval(bel=0.0, pl=4.3209880118411093e-13)\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest,err", [c[1:] for c in SIMULATE_CASES], ids=[c[0] for c in SIMULATE_CASES])
+def test_simulate_cli_matches_golden(capsys, argv, code, digest, err):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert _sha256(captured.out.encode()) == digest
+    assert captured.err == err
