@@ -3,10 +3,10 @@
 Each outcome is folded two ways from the same unit weights: a Dempster
 track that combines one simple support per outcome into a running (bel, pl)
 state, and a lower/upper frequency track over the accumulated weights.
-Recording them side by side makes the divergent limit behaviour of the two
-calculi directly comparable: the Dempster track heads for 0, 0.5 or 1 by the
-sign of w0+*q - w0-*(1-q), while the frequency track closes in on the
-outcome rate q itself.
+Side by side they show the two calculi's divergent limits: the Dempster
+track heads for 0, 0.5 or 1 by the sign of w0+*q - w0-*(1-q), mostly
+reaching an exact Bayesian point that absorbs all later outcomes (from
+there the fold only counts), while the frequency track closes in on q.
 
 The fold streams: it yields one row at a time as a plain tuple, and
 `evcalc simulate` writes each CSV line as its row arrives, so the run's
@@ -21,8 +21,8 @@ import math
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
-from .dempster import _combine_pairs
-from .errors import ValidationError, _Value
+from .dempster import _combine_pairs, combine_interval
+from .errors import TotalConflictError, ValidationError, _Value
 from .evidence_scale import UnitWeights, classify_limit, delta_limit, support_from_weight
 from .lower_upper import EvidenceCounts
 from .rng import _bernoulli_outcomes
@@ -57,13 +57,13 @@ class StreamSpec(_Value):
             elif steps != len(outcomes):
                 raise ValidationError(f"steps={steps} does not match {len(outcomes)} explicit outcomes")
         else:
-            if steps is None or int(steps) != steps or steps < 0:
+            if steps is None or not _is_whole(steps) or steps < 0:
                 raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
             steps = int(steps)
             if mode in ("bernoulli", "frequency_faithful"):
                 if q is None or not 0.0 <= q <= 1.0:
                     raise ValidationError(f"q must be in [0, 1], got {q!r}")
-                if int(seed) != seed or seed < 0:
+                if not _is_whole(seed) or seed < 0:
                     raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
             else:  # delta_profile
                 if delta is None:
@@ -75,6 +75,14 @@ class StreamSpec(_Value):
                     )
                 delta = d
         self.__dict__.update(mode=mode, steps=steps, q=q, delta=delta, seed=seed, outcomes=outcomes)
+
+
+def _is_whole(x) -> bool:
+    """x == int(x), where nan and inf (int() raises) are not whole."""
+    try:
+        return int(x) == x
+    except (ValueError, OverflowError):
+        return False
 
 
 def generate_stream(spec: StreamSpec) -> list[bool]:
@@ -173,7 +181,7 @@ def run_dual_track(
 def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1) -> Iterator[tuple]:
     """The rows of run_dual_track as (t, t_plus, bel, pl, l, u, f) tuples,
     produced lazily; the arguments are checked before the first row."""
-    if int(record_every) != record_every or record_every < 1:
+    if not _is_whole(record_every) or record_every < 1:
         raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
     for name, w in (("w0_plus", unit.w0_plus), ("w0_minus", unit.w0_minus)):
         if support_from_weight(w) == 1.0:  # from 54 ln 2 on, e^-w is at most half an ulp of 1
@@ -183,14 +191,14 @@ def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1)
 
 def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tuple]:
     # Each step is combine_interval against a fixed support plus the repair
-    # BeliefInterval applies, on plain floats, so no value object is built
-    # per step.  _unit_pair is called only for a pair outside
-    # 0 <= bel <= pl <= 1, its own no-repair test: the call would cost a
-    # third of a step.  Each recorded row is interval_from_counts of the
-    # accumulated weights, which needs no repair (0 <= w_plus <= w and
-    # rounding is monotone), and the frequency w_plus / w from the counts
-    # themselves, not read back from the rounded bounds.  Every row after
-    # the first has w > 0, as each unit weight is positive.
+    # BeliefInterval applies, on plain floats; _unit_pair is called only for
+    # a pair outside 0 <= bel <= pl <= 1 (a call costs a third of a step).
+    # A row is interval_from_counts of the accumulated weights (no repair:
+    # 0 <= w_plus <= w, rounding is monotone) and w_plus / w, with w > 0
+    # after row 0.  The Dempster state (never -0.0 or nan, so == is bit
+    # equality) mostly reaches a point both supports fix, like (1, 1): a step
+    # that leaves it as it was probes the other support, and if that does
+    # too, the second loop only counts.  A probe failed at t defers to 2t.
     pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
     neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
     pos_bel, pos_pl, neg_bel, neg_pl = pos.bel, pos.pl, neg.bel, neg.pl
@@ -198,19 +206,41 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
     total_steps = spec.steps
     bel, pl = 0.0, 1.0
     w_plus = w_minus = 0.0
-    t = t_plus = 0
+    t = t_plus = probe_at = 0
+    outcomes = _outcomes(spec)
     yield (0, 0, 0.0, 1.0, 0.0, 1.0, None)
-    for positive in _outcomes(spec):
+    for positive in outcomes:
         t += 1
         if positive:
-            bel, pl = _combine_pairs(bel, pl, pos_bel, pos_pl)
+            b, p = _combine_pairs(bel, pl, pos_bel, pos_pl)
             w_plus += w0_plus
             t_plus += 1
         else:
-            bel, pl = _combine_pairs(bel, pl, neg_bel, neg_pl)
+            b, p = _combine_pairs(bel, pl, neg_bel, neg_pl)
             w_minus += w0_minus
-        if not 0.0 <= bel <= pl <= 1.0:
-            bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
+        if not 0.0 <= b <= p <= 1.0:
+            b, p = _unit_pair(b, p, "bel", "pl", SUM_TOLERANCE)
+        if t % record_every == 0 or t == total_steps:
+            w = w_plus + w_minus
+            if not math.isfinite(w):
+                EvidenceCounts(w_plus, w)  # raises: the accumulated weight overflowed
+            scale = w + 1.0
+            yield t, t_plus, b, p, w_plus / scale, (w_plus + 1.0) / scale, w_plus / w
+        if b == bel and p == pl and t >= probe_at:
+            probe_at = 2 * t
+            try:  # a step that would raise here raises when its outcome arrives
+                if combine_interval(BeliefInterval(b, p), neg if positive else pos) == BeliefInterval(b, p):
+                    break
+            except (TotalConflictError, ValidationError):
+                pass
+        bel, pl = b, p
+    for positive in outcomes:
+        t += 1
+        if positive:
+            w_plus += w0_plus
+            t_plus += 1
+        else:
+            w_minus += w0_minus
         if t % record_every == 0 or t == total_steps:
             w = w_plus + w_minus
             if not math.isfinite(w):

@@ -4,20 +4,29 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from evcalc import (
+    BeliefInterval,
+    EvidenceCounts,
     EvidenceWeights,
     StreamSpec,
+    TotalConflictError,
     Trajectory,
     TrajectoryRow,
     UnitWeights,
     ValidationError,
     belief_from_weights,
     check_limits,
+    combine_interval,
     delta_limit,
     generate_stream,
+    interval_from_counts,
     run_dual_track,
+    support_from_weight,
 )
+from evcalc import convergence
 from evcalc.convergence import _dual_track_rows, _write_csv
 from evcalc.rng import SplitMix64, _bernoulli_outcomes
 
@@ -93,6 +102,10 @@ def test_bernoulli_stream_rate_sanity():
         {"mode": "delta_profile", "steps": 5, "delta": -1},
         {"mode": "explicit"},  # missing outcomes
         {"mode": "explicit", "outcomes": (True,), "steps": 3},  # length mismatch
+        {"mode": "bernoulli", "steps": math.nan, "q": 0.5},
+        {"mode": "bernoulli", "steps": math.inf, "q": 0.5},
+        {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": math.nan},
+        {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": math.inf},
     ],
 )
 def test_stream_spec_validation(kwargs):
@@ -186,8 +199,9 @@ def test_record_every_keeps_start_and_final():
     spec = StreamSpec(mode="frequency_faithful", steps=10, q=0.5)
     traj = run_dual_track(spec, UNIT, record_every=4)
     assert [row.t for row in traj.rows] == [0, 4, 8, 10]
-    with pytest.raises(ValidationError):
-        run_dual_track(spec, UNIT, record_every=0)
+    for bad in (0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            run_dual_track(spec, UNIT, record_every=bad)
 
 
 def test_unit_weight_whose_support_rounds_to_one_is_rejected():
@@ -225,6 +239,93 @@ def test_unit_weight_rows_give_the_exact_outcome_rate(spec):
     # under unit weights w+ / w is t_plus / t, with no rounding through the bounds
     rows = run_dual_track(spec, UnitWeights(1.0, 1.0)).rows
     assert all(row.freq == row.t_plus / row.t for row in rows[1:])
+
+
+def _reference_rows(spec, unit, record_every):
+    """The fold one value at a time: combine_interval on BeliefIntervals per
+    step, then the row from the accumulated weights' counts."""
+    pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
+    neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
+    state = BeliefInterval.vacuous()
+    w_plus = w_minus = 0.0
+    t_plus = 0
+    yield (0, 0, 0.0, 1.0, 0.0, 1.0, None)
+    for t, positive in enumerate(generate_stream(spec), start=1):
+        if positive:
+            state = combine_interval(state, pos)
+            w_plus += unit.w0_plus
+            t_plus += 1
+        else:
+            state = combine_interval(state, neg)
+            w_minus += unit.w0_minus
+        if t % record_every == 0 or t == spec.steps:
+            counts = EvidenceCounts(w_plus, w_plus + w_minus)
+            fi = interval_from_counts(counts)
+            yield (t, t_plus, state.bel, state.pl, fi.l, fi.u, counts.w_plus / counts.w_total)
+
+
+def _rows_and_error(rows):
+    """The rows produced before an exception, and the exception's type."""
+    out = []
+    try:
+        for row in rows:
+            out.append(row)
+    except (TotalConflictError, ValidationError) as exc:
+        return out, type(exc)
+    return out, None
+
+
+@given(
+    mode=st.sampled_from(["bernoulli", "frequency_faithful"]),
+    q=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**64 - 1),
+    steps=st.integers(0, 2000),
+    w0_plus=st.floats(0.0, 37.4, exclude_min=True),
+    w0_minus=st.floats(0.0, 37.4, exclude_min=True),
+    record_every=st.sampled_from([1, 7, 1000]),
+)
+# a negative outcome at (1, 1) is a total conflict: never met, met after four rows
+@example(mode="frequency_faithful", q=0.995, seed=0, steps=50, w0_plus=24.69, w0_minus=36.89, record_every=1)
+@example(mode="bernoulli", q=0.551, seed=759152683, steps=50, w0_plus=28.09, w0_minus=28.47, record_every=1)
+@example(mode="bernoulli", q=0.7, seed=3, steps=2000, w0_plus=1.0, w0_minus=1.0, record_every=7)
+def test_fold_matches_a_value_by_value_reference(mode, q, seed, steps, w0_plus, w0_minus, record_every):
+    # the same rows bit for bit (repr tells signed zeros apart), and an
+    # exception of the same type after the same rows
+    spec = StreamSpec(mode=mode, steps=steps, q=q, seed=seed)
+    unit = UnitWeights(w0_plus, w0_minus)
+    got, got_error = _rows_and_error(_dual_track_rows(spec, unit, record_every))
+    want, want_error = _rows_and_error(_reference_rows(spec, unit, record_every))
+    assert repr(got) == repr(want)
+    assert got_error is want_error
+
+
+@pytest.mark.parametrize(
+    "spec, bound",
+    [
+        # (1, 1) is reached within a few hundred steps and absorbs the rest
+        (StreamSpec(mode="bernoulli", steps=20_000, q=0.7, seed=1), 2000),
+        # never absorbed: the state keeps moving, so every step combines
+        (StreamSpec(mode="delta_profile", steps=20_000, delta=3), None),
+        (StreamSpec(mode="frequency_faithful", steps=20_000, q=0.5), None),
+    ],
+    ids=["bernoulli-0.7", "delta_profile", "faithful-0.5"],
+)
+def test_fold_combines_only_until_the_state_is_absorbed(monkeypatch, spec, bound):
+    calls = 0
+    combine = convergence._combine_pairs
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return combine(*args)
+
+    monkeypatch.setattr(convergence, "_combine_pairs", counting)
+    rows = list(_dual_track_rows(spec, UNIT, 1000))
+    assert rows[-1][0] == spec.steps
+    if bound is None:
+        assert calls == spec.steps
+    else:
+        assert calls < bound
 
 
 # --- CSV ---
