@@ -63,8 +63,8 @@ class StreamSpec(_Value):
             if mode in ("bernoulli", "frequency_faithful"):
                 if q is None or not 0.0 <= q <= 1.0:
                     raise ValidationError(f"q must be in [0, 1], got {q!r}")
-                if not _is_whole(seed) or seed < 0:
-                    raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+                if not _is_whole(seed) or not 0 <= seed < 2**64:
+                    raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
             else:  # delta_profile
                 if delta is None:
                     raise ValidationError("delta_profile mode needs delta")

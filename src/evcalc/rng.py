@@ -5,13 +5,26 @@ SplitMix64: a 64-bit counter advanced by the golden-ratio increment
 (multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  The interpreter's
 generator is deliberately not used: trajectories must replay bit for bit
 across platforms and interpreter versions.
+
+The generator is counter-based: the state before draw j (0-based) is
+(seed + (j+1) * 0x9E3779B97F4A7C15) mod 2**64, so no draw depends on the
+previous output and a block of draws can be computed at once.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+# _below packs _LANES draws into one int, draw j in bits [128j, 128j + 128),
+# so a 64x64-bit product never leaves its slot; slot j of _COUNTER is (j+1)*gamma.
+_LANES = 1024
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_LANE_MASK = _MASK * _ONES
+_COUNTER = _GAMMA * int.from_bytes(b"".join(j.to_bytes(16, "little") for j in range(1, _LANES + 1)), "little")
 
 
 class SplitMix64:
@@ -21,7 +34,7 @@ class SplitMix64:
         self._state = int(seed) & _MASK
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        self._state = (self._state + _GAMMA) & _MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -33,15 +46,31 @@ class SplitMix64:
 
 
 def _bernoulli_outcomes(seed: int, q: float, n: int) -> Iterator[bool]:
-    """SplitMix64(seed).uniform() < q for n draws, one at a time.
+    """SplitMix64(seed).uniform() < q for n draws, yielded one at a time.
 
-    The same sequence as the class with the method calls inlined, so a long
-    stream costs neither a list nor a call per draw.
+    The draws are computed _LANES at a time by _below, a block in a fixed
+    number of whole-int operations (the last block too, cut to n), so what
+    remains per draw is a lookup.  uniform() is the top 53 bits v of a draw z times 2**-53, exactly, and
+    q * 2**53 is exact too, so uniform() < q iff v < T = ceil(q * 2**53),
+    that is iff z < T * 2**11.
     """
-    mask = _MASK
-    state = int(seed) & mask
-    for _ in range(n):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        yield ((z ^ (z >> 31)) >> 11) * 2.0 ** -53 < q
+    state = int(seed) & _MASK
+    guards = ((math.ceil(q * 2.0**53) << 11) - 1 + (1 << 64)) * _ONES
+    for start in range(0, n, _LANES):
+        m = min(n - start, _LANES)
+        yield from map((False, True).__getitem__, _below(state, guards)[:m])
+        state = (state + m * _GAMMA) & _MASK
+
+
+def _below(state: int, guards: int) -> bytes:
+    """Byte j is 1 if draw j from state is below T * 2**11, else 0.
+
+    Each slot of guards holds T * 2**11 - 1 + 2**64, so the slot of
+    guards - z lies in [0, 2**65) and has bit 64 set iff z < T * 2**11:
+    no slot borrows from the next, and byte 8 of the slot is the outcome.
+    """
+    z = (state * _ONES + _COUNTER) & _LANE_MASK
+    z = ((z ^ (z >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+    z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
+    z = (z ^ (z >> 31)) & _LANE_MASK
+    return (guards - z).to_bytes(16 * _LANES, "little")[8::16]

@@ -242,6 +242,16 @@ def test_simulate_bernoulli_determinism(capsys):
     assert out3 != out1
 
 
+def test_simulate_rejects_a_seed_of_2_to_the_64_or_more(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--mode", "bernoulli", "--q", "0.5", "--steps", "10",
+                             "--seed", str(2**70))
+    assert (code, out) == (1, "")
+    assert "seed must be an integer in [0, 2**64)" in err
+    code, _, _ = run_cli(capsys, "simulate", "--mode", "bernoulli", "--q", "0.5", "--steps", "10",
+                         "--seed", str(2**64 - 1))
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -76,12 +76,55 @@ def test_bernoulli_stream_determinism():
     assert other != first
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 12345, 2**64 - 1])
-@pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
-def test_inlined_bernoulli_iterator_matches_splitmix64(seed, q):
+GAMMA = 0x9E3779B97F4A7C15
+M64 = (1 << 64) - 1
+
+
+def _splitmix_outcomes(seed, q, n):
     rng = SplitMix64(seed)
-    expected = [rng.uniform() < q for _ in range(500)]
-    assert list(_bernoulli_outcomes(seed, q, 500)) == expected
+    return [rng.uniform() < q for _ in range(n)]
+
+
+# the block generator against the class: empty, partial, exact and several
+# 1024-draw blocks, and thresholds T = ceil(q * 2**53) of 0, 1, 2, 2**53 - 1, 2**53
+@pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 12345, 2**64 - 1])
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0, 5e-324, 2.0**-53, 3 * 2.0**-54, 0.9999999999999999])
+def test_inlined_bernoulli_iterator_matches_splitmix64(seed, q):
+    expected = _splitmix_outcomes(seed, q, 3 * 1024 + 7)
+    for n in (0, 1, 500, 1023, 1024, 1025, 3 * 1024 + 7):
+        got = list(_bernoulli_outcomes(seed, q, n))
+        assert all(type(o) is bool for o in got)  # so generate_stream stays list[bool]
+        assert got == expected[:n]
+
+
+def _unxorshift(y, k):
+    # the x with x ^ (x >> k) == y: each pass fixes k more top bits
+    x = y
+    for _ in range(64 // k + 1):
+        x = y ^ (x >> k)
+    return x
+
+
+def _seed_with_draw(j, z):
+    """A seed whose SplitMix64 draw j (0-based) is the 64-bit output z."""
+    z = _unxorshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & M64
+    z = _unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & M64
+    return (_unxorshift(z, 30) - (j + 1) * GAMMA) & M64
+
+
+@pytest.mark.parametrize("j", [0, 1023, 1024, 2050])
+@pytest.mark.parametrize("z_offset", [-1, 0])  # v = T - 1 with all low bits set, and v = T with none
+def test_bernoulli_iterator_at_the_threshold(j, z_offset):
+    q = 0.3
+    seed = _seed_with_draw(j, (math.ceil(q * 2.0**53) << 11) + z_offset)
+    expected = _splitmix_outcomes(seed, q, j + 3)
+    assert expected[j] is (z_offset < 0)
+    assert list(_bernoulli_outcomes(seed, q, j + 3)) == expected
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1), st.floats(min_value=0.0, max_value=1.0))
+def test_bernoulli_iterator_matches_splitmix64_anywhere(seed, q):
+    assert list(_bernoulli_outcomes(seed, q, 1030)) == _splitmix_outcomes(seed, q, 1030)
 
 
 def test_bernoulli_stream_rate_sanity():
@@ -106,6 +149,8 @@ def test_bernoulli_stream_rate_sanity():
         {"mode": "bernoulli", "steps": math.inf, "q": 0.5},
         {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": math.nan},
         {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": math.inf},
+        {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": 2**64},  # would alias seed 0
+        {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": 2**70},
     ],
 )
 def test_stream_spec_validation(kwargs):
