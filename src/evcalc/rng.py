@@ -48,9 +48,9 @@ class SplitMix64:
 def _bernoulli_outcomes(seed: int, q: float, n: int) -> Iterator[bool]:
     """SplitMix64(seed).uniform() < q for n draws, yielded one at a time.
 
-    The draws are computed _LANES at a time by _below, a block in a fixed
-    number of whole-int operations (the last block too, cut to n), so what
-    remains per draw is a lookup.  uniform() is the top 53 bits v of a draw z times 2**-53, exactly, and
+    _below computes _LANES draws in a fixed number of whole-int operations
+    (the last block too, cut to n), so what remains per draw is a lookup.
+    uniform() is the top 53 bits v of a draw z times 2**-53, exactly, and
     q * 2**53 is exact too, so uniform() < q iff v < T = ceil(q * 2**53),
     that is iff z < T * 2**11.
     """
