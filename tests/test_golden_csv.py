@@ -3,6 +3,8 @@
 The sha256 values were taken from the object-per-step fold that built every
 row as a dataclass and joined the CSV into one string.  Any later fold or
 writer must reproduce them exactly; a changed digit anywhere fails here.
+The three long sparse cases were taken from the fold that walked every
+outcome of its absorbed phase one at a time.
 
 SIMULATE_CASES pin whole `evcalc simulate` calls (exit code, sha256 of
 stdout, exact stderr), taken from the fold that combined every step.  They
@@ -43,6 +45,15 @@ CASES = [
      "5f431d7eb80a4d0a9f83dfef39251fade2590de6582efdc684db42802bb23e9b"),
     ("zero_steps", dict(mode="frequency_faithful", steps=0, q=0.7), (1.0, 1.0), 1,
      "e2ccde4f685803c2f74ba39e3d227bfd4c9de53f45efd88fabefc6f08c733c9c"),
+    # the shape of the sparse benchmark: absorbed early, a row per 10k steps
+    ("sparse", dict(mode="bernoulli", steps=300_000, q=0.65), (1.0, 1.0), 10_000,
+     "8927cdfd45b3ef580b49795d64123a5520bc5b093882e7eab2ac2759f5a589c7"),
+    # 0.1 is not dyadic: k * 0.1 differs from k repeated additions of 0.1
+    ("sparse_tenths", dict(mode="bernoulli", steps=200_000, q=0.7), (0.1, 0.1), 1000,
+     "b0bcc1d2096429e6b2f86de434ffec5144129e05a692a87434019241b9f4dfc5"),
+    # rows straddle the 1024-outcome blocks; the final row falls off the grid
+    ("sparse_asymmetric", dict(mode="bernoulli", steps=100_001, q=0.95), (0.3, 2.5), 1025,
+     "be3b959882413ddddbabb6ee3735209d1343b39f4b24cb817f83edfa1022cefa"),
 ]
 
 
