@@ -5,8 +5,9 @@ track that combines one simple support per outcome into a running (bel, pl)
 state, and a lower/upper frequency track over the accumulated weights.
 Side by side they show the two calculi's divergent limits: the Dempster
 track heads for 0, 0.5 or 1 by the sign of w0+*q - w0-*(1-q), mostly
-reaching an exact Bayesian point that absorbs all later outcomes (from
-there the fold only counts), while the frequency track closes in on q.
+reaching an exact Bayesian point that absorbs all later outcomes, while the
+frequency track closes in on q.  From there the fold counts a block without a
+row whole, with the same float additions in the same order: the same CSV bytes.
 
 The fold streams: it yields one row at a time as a plain tuple, and
 `evcalc simulate` writes each CSV line as its row arrives, so the run's
@@ -18,14 +19,17 @@ from __future__ import annotations
 
 import io
 import math
+from functools import reduce
+from itertools import chain, islice, repeat
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
 from .dempster import _combine_pairs, combine_interval
-from .errors import TotalConflictError, ValidationError, _Value
+from .errors import TotalConflictError, ValidationError, _is_whole, _Value
 from .evidence_scale import UnitWeights, classify_limit, delta_limit, support_from_weight
 from .lower_upper import EvidenceCounts
-from .rng import _bernoulli_outcomes
+from .rng import _LANES, _bernoulli_blocks, _bernoulli_outcomes, _check_seed
 
 MODES = ("bernoulli", "frequency_faithful", "delta_profile", "explicit")
 
@@ -63,8 +67,7 @@ class StreamSpec(_Value):
             if mode in ("bernoulli", "frequency_faithful"):
                 if q is None or not 0.0 <= q <= 1.0:
                     raise ValidationError(f"q must be in [0, 1], got {q!r}")
-                if not _is_whole(seed) or not 0 <= seed < 2**64:
-                    raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+                _check_seed(seed)
             else:  # delta_profile
                 if delta is None:
                     raise ValidationError("delta_profile mode needs delta")
@@ -75,14 +78,6 @@ class StreamSpec(_Value):
                     )
                 delta = d
         self.__dict__.update(mode=mode, steps=steps, q=q, delta=delta, seed=seed, outcomes=outcomes)
-
-
-def _is_whole(x) -> bool:
-    """x == int(x), where nan and inf (int() raises) are not whole."""
-    try:
-        return int(x) == x
-    except (ValueError, OverflowError):
-        return False
 
 
 def generate_stream(spec: StreamSpec) -> list[bool]:
@@ -102,6 +97,14 @@ def _outcomes(spec: StreamSpec) -> Iterator[bool]:
     # so the negative-positive count difference is exactly delta at even steps
     d = int(spec.delta)
     return (False if t < d else (t - d) % 2 == 0 for t in range(spec.steps))
+
+
+def _outcome_blocks(spec: StreamSpec) -> Iterator[bytes]:
+    """spec's outcomes as 1 (positive) or 0 bytes, in blocks of _LANES (the last one shorter)."""
+    if spec.mode == "bernoulli":
+        return _bernoulli_blocks(spec.seed, spec.q, spec.steps)
+    outcomes = _outcomes(spec)
+    return iter(lambda: bytes(islice(outcomes, _LANES)), b"")
 
 
 def _faithful_outcomes(q: float, steps: int) -> Iterator[bool]:
@@ -197,8 +200,10 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
     # 0 <= w_plus <= w, rounding is monotone) and w_plus / w, with w > 0
     # after row 0.  The Dempster state (never -0.0 or nan, so == is bit
     # equality) mostly reaches a point both supports fix, like (1, 1): a step
-    # that leaves it as it was probes the other support, and if that does
-    # too, the second loop only counts.  A probe failed at t defers to 2t.
+    # that leaves it as it was probes the other support (a failed probe at t
+    # defers to 2t), and if that does too, the second loop only counts, a block
+    # without a row at once: w_plus only adds w0+, so its sum depends on the
+    # count k alone, and reduce repeats the k additions (k * w0+ rounds apart).
     pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
     neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
     pos_bel, pos_pl, neg_bel, neg_pl = pos.bel, pos.pl, neg.bel, neg.pl
@@ -207,7 +212,8 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
     bel, pl = 0.0, 1.0
     w_plus = w_minus = 0.0
     t = t_plus = probe_at = 0
-    outcomes = _outcomes(spec)
+    blocks = _outcome_blocks(spec)
+    outcomes = chain.from_iterable(blocks)
     yield (0, 0, 0.0, 1.0, 0.0, 1.0, None)
     for positive in outcomes:
         t += 1
@@ -234,19 +240,27 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
             except (TotalConflictError, ValidationError):
                 pass
         bel, pl = b, p
-    for positive in outcomes:
-        t += 1
-        if positive:
-            w_plus += w0_plus
-            t_plus += 1
-        else:
-            w_minus += w0_minus
-        if t % record_every == 0 or t == total_steps:
-            w = w_plus + w_minus
-            if not math.isfinite(w):
-                EvidenceCounts(w_plus, w)  # raises: the accumulated weight overflowed
-            scale = w + 1.0
-            yield t, t_plus, bel, pl, w_plus / scale, (w_plus + 1.0) / scale, w_plus / w
+    for block in chain((bytes(islice(outcomes, -t % _LANES)),), blocks):  # this block's rest first
+        n = len(block)
+        if (t + n) // record_every == t // record_every and t + n < total_steps:
+            k = block.count(1)
+            w_plus = reduce(add, repeat(w0_plus, k), w_plus)
+            w_minus = reduce(add, repeat(w0_minus, n - k), w_minus)
+            t, t_plus = t + n, t_plus + k
+            continue
+        for positive in block:
+            t += 1
+            if positive:
+                w_plus += w0_plus
+                t_plus += 1
+            else:
+                w_minus += w0_minus
+            if t % record_every == 0 or t == total_steps:
+                w = w_plus + w_minus
+                if not math.isfinite(w):
+                    EvidenceCounts(w_plus, w)  # raises: the accumulated weight overflowed
+                scale = w + 1.0
+                yield t, t_plus, bel, pl, w_plus / scale, (w_plus + 1.0) / scale, w_plus / w
 
 
 class LimitReport(_Value):

@@ -1,4 +1,4 @@
-"""Shared exception types, the JSON object parser and the value base class."""
+"""Shared exception types and checks, the JSON object parser and the value base class."""
 
 from operator import attrgetter
 
@@ -22,6 +22,14 @@ class InfiniteEvidenceError(ValueError):
 
 class ZeroEvidenceError(ValueError):
     """The operation is undefined before any evidence has been observed."""
+
+
+def _is_whole(x) -> bool:
+    """x == int(x), where nan and inf (int() raises) are not whole."""
+    try:
+        return int(x) == x
+    except (ValueError, OverflowError):
+        return False
 
 
 def parse_object(what: str, data, build):

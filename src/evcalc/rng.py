@@ -14,7 +14,10 @@ previous output and a block of draws can be computed at once.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator
+
+from .errors import ValidationError, _is_whole
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -31,7 +34,7 @@ class SplitMix64:
     """Stateful stream over the SplitMix64 sequence."""
 
     def __init__(self, seed: int):
-        self._state = int(seed) & _MASK
+        self._state = _check_seed(seed)
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
@@ -45,20 +48,30 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
 
-def _bernoulli_outcomes(seed: int, q: float, n: int) -> Iterator[bool]:
-    """SplitMix64(seed).uniform() < q for n draws, yielded one at a time.
+def _check_seed(seed) -> int:
+    """int(seed) for a whole seed in [0, 2**64); any other would alias one of those."""
+    if not _is_whole(seed) or not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
-    _below computes _LANES draws in a fixed number of whole-int operations
-    (the last block too, cut to n), so what remains per draw is a lookup.
-    uniform() is the top 53 bits v of a draw z times 2**-53, exactly, and
-    q * 2**53 is exact too, so uniform() < q iff v < T = ceil(q * 2**53),
-    that is iff z < T * 2**11.
+
+def _bernoulli_outcomes(seed: int, q: float, n: int) -> Iterator[bool]:
+    """SplitMix64(seed).uniform() < q for n draws, yielded one at a time."""
+    return map((False, True).__getitem__, chain.from_iterable(_bernoulli_blocks(seed, q, n)))
+
+
+def _bernoulli_blocks(seed: int, q: float, n: int) -> Iterator[bytes]:
+    """SplitMix64(seed).uniform() < q for n draws, in _LANES-byte blocks of 1 or 0.
+
+    _below computes each block (the last cut to n) in a fixed number of whole-int
+    operations.  uniform() is exactly v * 2**-53 for the top 53 bits v of a draw z,
+    and q * 2**53 is exact, so uniform() < q iff v < T = ceil(q * 2**53) iff z < T * 2**11.
     """
     state = int(seed) & _MASK
     guards = ((math.ceil(q * 2.0**53) << 11) - 1 + (1 << 64)) * _ONES
     for start in range(0, n, _LANES):
         m = min(n - start, _LANES)
-        yield from map((False, True).__getitem__, _below(state, guards)[:m])
+        yield _below(state, guards)[:m]
         state = (state + m * _GAMMA) & _MASK
 
 

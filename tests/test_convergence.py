@@ -28,7 +28,7 @@ from evcalc import (
 )
 from evcalc import convergence
 from evcalc.convergence import _dual_track_rows, _write_csv
-from evcalc.rng import SplitMix64, _bernoulli_outcomes
+from evcalc.rng import SplitMix64, _bernoulli_blocks, _bernoulli_outcomes
 
 UNIT = UnitWeights()
 
@@ -95,6 +95,27 @@ def test_inlined_bernoulli_iterator_matches_splitmix64(seed, q):
         got = list(_bernoulli_outcomes(seed, q, n))
         assert all(type(o) is bool for o in got)  # so generate_stream stays list[bool]
         assert got == expected[:n]
+
+
+@pytest.mark.parametrize("seed, q", [(0, 0.5), (2**64 - 1, 0.3), (2024, 0.9999999999999999)])
+def test_bernoulli_blocks_are_the_draws_in_bytes_of_1_or_0(seed, q):
+    expected = _splitmix_outcomes(seed, q, 3 * 1024 + 7)
+    for n in (0, 1, 1023, 1024, 1025, 3 * 1024 + 7):
+        blocks = list(_bernoulli_blocks(seed, q, n))
+        assert all(type(block) is bytes and set(block) <= {0, 1} for block in blocks)
+        assert [len(block) for block in blocks[:-1]] == [1024] * (len(blocks) - 1)
+        assert [o == 1 for o in b"".join(blocks)] == expected[:n]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 0.9, -1.5, math.nan, math.inf])
+def test_splitmix64_rejects_a_seed_that_would_alias_another(seed):
+    # the state was int(seed) mod 2**64: -1 replayed 2**64 - 1, 2**70 and 0.9 seed 0
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        SplitMix64(seed)
+
+
+def test_splitmix64_takes_a_whole_seed_in_range():
+    assert SplitMix64(7.0).next_u64() == SplitMix64(7).next_u64()
 
 
 def _unxorshift(y, k):
@@ -371,6 +392,30 @@ def test_fold_combines_only_until_the_state_is_absorbed(monkeypatch, spec, bound
         assert calls == spec.steps
     else:
         assert calls < bound
+
+
+def _runs_of_outcomes(runs):
+    return [positive for positive, n in runs for _ in range(n)][:5000]
+
+
+@given(
+    outcomes=st.lists(st.tuples(st.booleans(), st.integers(1, 2500)), max_size=10).map(_runs_of_outcomes),
+    w0_plus=st.floats(0.0, 37.0, exclude_min=True, exclude_max=True),
+    w0_minus=st.floats(0.0, 37.0, exclude_min=True, exclude_max=True),
+    record_every=st.integers(1, 3000),
+)
+# absorbed at (1, 1) within the first block, then whole blocks counted between rows
+@example(outcomes=[True] * 3000 + [False, True, True] * 600, w0_plus=0.1, w0_minus=0.1, record_every=1000)
+@example(outcomes=[False] * 1100 + [True] * 2000, w0_plus=2.5, w0_minus=0.3, record_every=1025)
+@example(outcomes=[True, True, False] * 1666, w0_plus=1.0, w0_minus=0.5, record_every=1024)  # rows end blocks
+def test_counting_whole_blocks_equals_walking_every_step(outcomes, w0_plus, w0_minus, record_every):
+    # the reference combines on every step, with no absorption and no counting
+    spec = StreamSpec(mode="explicit", outcomes=outcomes)
+    unit = UnitWeights(w0_plus, w0_minus)
+    got, got_error = _rows_and_error(_dual_track_rows(spec, unit, record_every))
+    want, want_error = _rows_and_error(_reference_rows(spec, unit, record_every))
+    assert repr(got) == repr(want)
+    assert got_error is want_error
 
 
 # --- CSV ---
