@@ -203,7 +203,7 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
     # that leaves it as it was probes the other support (a failed probe at t
     # defers to 2t), and if that does too, the second loop only counts, a block
     # without a row at once: w_plus only adds w0+, so its sum depends on the
-    # count k alone, and reduce repeats the k additions (k * w0+ rounds apart).
+    # count k alone, and reduce repeats those k additions (k * w0+ would not).
     pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
     neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
     pos_bel, pos_pl, neg_bel, neg_pl = pos.bel, pos.pl, neg.bel, neg.pl

@@ -85,8 +85,8 @@ def _splitmix_outcomes(seed, q, n):
     return [rng.uniform() < q for _ in range(n)]
 
 
-# the block generator against the class: empty, partial, exact and several
-# 1024-draw blocks, and thresholds T = ceil(q * 2**53) of 0, 1, 2, 2**53 - 1, 2**53
+# both block generator forms against the class: empty, partial, exact and
+# several 1024-draw blocks, and thresholds T = ceil(q * 2**53) of 0, 1, 2, 2**53 - 1, 2**53
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 12345, 2**64 - 1])
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0, 5e-324, 2.0**-53, 3 * 2.0**-54, 0.9999999999999999])
 def test_inlined_bernoulli_iterator_matches_splitmix64(seed, q):
@@ -95,12 +95,7 @@ def test_inlined_bernoulli_iterator_matches_splitmix64(seed, q):
         got = list(_bernoulli_outcomes(seed, q, n))
         assert all(type(o) is bool for o in got)  # so generate_stream stays list[bool]
         assert got == expected[:n]
-
-
-@pytest.mark.parametrize("seed, q", [(0, 0.5), (2**64 - 1, 0.3), (2024, 0.9999999999999999)])
-def test_bernoulli_blocks_are_the_draws_in_bytes_of_1_or_0(seed, q):
-    expected = _splitmix_outcomes(seed, q, 3 * 1024 + 7)
-    for n in (0, 1, 1023, 1024, 1025, 3 * 1024 + 7):
+        # the fold's form: bytes of 1 or 0, every block but the last 1024 long
         blocks = list(_bernoulli_blocks(seed, q, n))
         assert all(type(block) is bytes and set(block) <= {0, 1} for block in blocks)
         assert [len(block) for block in blocks[:-1]] == [1024] * (len(blocks) - 1)
@@ -109,7 +104,7 @@ def test_bernoulli_blocks_are_the_draws_in_bytes_of_1_or_0(seed, q):
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 0.9, -1.5, math.nan, math.inf])
 def test_splitmix64_rejects_a_seed_that_would_alias_another(seed):
-    # the state was int(seed) mod 2**64: -1 replayed 2**64 - 1, 2**70 and 0.9 seed 0
+    # reduced to int(seed) mod 2**64, -1 would replay 2**64 - 1, and 2**70 and 0.9 seed 0
     with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         SplitMix64(seed)
 
