@@ -4,7 +4,8 @@ The sha256 values were taken from the object-per-step fold that built every
 row as a dataclass and joined the CSV into one string.  Any later fold or
 writer must reproduce them exactly; a changed digit anywhere fails here.
 The three long sparse cases were taken from the fold that walked every
-outcome of its absorbed phase one at a time.
+outcome of its absorbed phase one at a time, and the two after them from
+the fold that counted each absorbed block without a row whole.
 
 SIMULATE_CASES pin whole `evcalc simulate` calls (exit code, sha256 of
 stdout, exact stderr), taken from the fold that combined every step.  They
@@ -54,6 +55,13 @@ CASES = [
     # rows straddle the 1024-outcome blocks; the final row falls off the grid
     ("sparse_asymmetric", dict(mode="bernoulli", steps=100_001, q=0.95), (0.3, 2.5), 1025,
      "be3b959882413ddddbabb6ee3735209d1343b39f4b24cb817f83edfa1022cefa"),
+    # dyadic weights: k * w0 equals k repeated additions of w0 for every count here
+    ("sparse_dyadic", dict(mode="bernoulli", steps=200_000, q=0.6, seed=3), (0.5, 0.25), 4096,
+     "be2eebcfa17c0a9ccff3ecce900069519767d113d04915b78e093c4fb34465ad"),
+    # 1 + 2**-40 has numerator 2**40 + 1, so c * w0 is provably the sum of c copies
+    # only for c <= 8191; the run's 32373 positives pass that count partway
+    ("sparse_horizon", dict(mode="bernoulli", steps=50_000, q=0.65, seed=4), (1 + 2**-40, 1.0), 3000,
+     "405bf375bb6dbccfaedb53ee8fe4117cebd4d13b74732135d3f4ae8123e3f158"),
 ]
 
 
