@@ -6,8 +6,11 @@ state, and a lower/upper frequency track over the accumulated weights.
 Side by side they show the two calculi's divergent limits: the Dempster
 track heads for 0, 0.5 or 1 by the sign of w0+*q - w0-*(1-q), mostly
 reaching an exact Bayesian point that absorbs all later outcomes, while the
-frequency track closes in on q.  From there the fold counts a block without a
-row whole, with the same float additions in the same order: the same CSV bytes.
+frequency track closes in on q.  From there the fold walks a block of the
+stream only from its first recorded row to its last and counts the outcomes on
+either side; each weight sum takes the closed form k * w0 only where that is
+provably the sum of k additions, and makes the additions otherwise: the same
+CSV bytes.
 
 The fold streams: it yields one row at a time as a plain tuple, and
 `evcalc simulate` writes each CSV line as its row arrives, so the run's
@@ -56,10 +59,9 @@ class StreamSpec(_Value):
             if outcomes is None:
                 raise ValidationError("explicit mode needs an outcomes sequence")
             outcomes = tuple(bool(o) for o in outcomes)
-            if steps is None:
-                steps = len(outcomes)
-            elif steps != len(outcomes):
+            if steps is not None and steps != len(outcomes):
                 raise ValidationError(f"steps={steps} does not match {len(outcomes)} explicit outcomes")
+            steps = len(outcomes)
         else:
             if steps is None or not _is_whole(steps) or steps < 0:
                 raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
@@ -186,6 +188,7 @@ def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1)
     produced lazily; the arguments are checked before the first row."""
     if not _is_whole(record_every) or record_every < 1:
         raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
+    record_every = int(record_every)  # a whole float such as 2000.0 would not index bytes.count
     for name, w in (("w0_plus", unit.w0_plus), ("w0_minus", unit.w0_minus)):
         if support_from_weight(w) == 1.0:  # from 54 ln 2 on, e^-w is at most half an ulp of 1
             raise ValidationError(f"{name} must be below 54 ln 2 (about 37.43), got {w!r}: its support rounds to 1")
@@ -201,9 +204,10 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
     # after row 0.  The Dempster state (never -0.0 or nan, so == is bit
     # equality) mostly reaches a point both supports fix, like (1, 1): a step
     # that leaves it as it was probes the other support (a failed probe at t
-    # defers to 2t), and if that does too, the second loop only counts, a block
-    # without a row at once: w_plus only adds w0+, so its sum depends on the
-    # count k alone, and reduce repeats those k additions (k * w0+ would not).
+    # defers to 2t), and if that does too, the second loop only counts: in each
+    # block the outcomes before its first row and after its last (a block
+    # without a row whole), walking only those between.  w_plus only adds w0+,
+    # so its sum depends on the count alone, and _repeated_sum gives it exactly.
     pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
     neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
     pos_bel, pos_pl, neg_bel, neg_pl = pos.bel, pos.pl, neg.bel, neg.pl
@@ -240,15 +244,20 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
             except (TotalConflictError, ValidationError):
                 pass
         bel, pl = b, p
+    exact_plus, exact_minus = (2**53 // w0.as_integer_ratio()[0] for w0 in (w0_plus, w0_minus))
+    done_plus, done_minus = t_plus, t - t_plus  # the counts w_plus and w_minus sum
     for block in chain((bytes(islice(outcomes, -t % _LANES)),), blocks):  # this block's rest first
-        n = len(block)
-        if (t + n) // record_every == t // record_every and t + n < total_steps:
-            k = block.count(1)
-            w_plus = reduce(add, repeat(w0_plus, k), w_plus)
-            w_minus = reduce(add, repeat(w0_minus, n - k), w_minus)
-            t, t_plus = t + n, t_plus + k
+        end = t + len(block)
+        last = end if end == total_steps else end - end % record_every  # the block's last row
+        if last <= t:  # it has none
+            t, t_plus = end, t_plus + block.count(1)
             continue
-        for positive in block:
+        # count up to the first row, walk to the last, then count the rest
+        first, stop = min(record_every - 1 - t % record_every, last - t - 1), last - t
+        t, t_plus = t + first, t_plus + block.count(1, 0, first)
+        w_plus = _repeated_sum(w0_plus, t_plus, exact_plus, done_plus, w_plus)
+        w_minus = _repeated_sum(w0_minus, t - t_plus, exact_minus, done_minus, w_minus)
+        for positive in block[first:stop]:
             t += 1
             if positive:
                 w_plus += w0_plus
@@ -261,6 +270,18 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
                     EvidenceCounts(w_plus, w)  # raises: the accumulated weight overflowed
                 scale = w + 1.0
                 yield t, t_plus, bel, pl, w_plus / scale, (w_plus + 1.0) / scale, w_plus / w
+        done_plus, done_minus = t_plus, t - t_plus
+        t, t_plus = end, t_plus + block.count(1, stop)
+
+
+def _repeated_sum(w0: float, count: int, exact: int, done: int, w: float) -> float:
+    """count copies of w0 added one at a time from 0.0, given w, the sum of the first done.
+
+    With exact = 2**53 // (the numerator of w0.as_integer_ratio()), every partial
+    sum of at most exact copies is an integer of at most 2**53 times w0's
+    power-of-two denominator, so no addition rounds and count * w0 is that sum
+    bit for bit; past exact, reduce makes the remaining additions in order."""
+    return count * w0 if count <= exact else reduce(add, repeat(w0, count - done), w)
 
 
 class LimitReport(_Value):

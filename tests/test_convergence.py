@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from itertools import accumulate, repeat
 
 import pytest
 from hypothesis import example, given
@@ -27,7 +28,7 @@ from evcalc import (
     support_from_weight,
 )
 from evcalc import convergence
-from evcalc.convergence import _dual_track_rows, _write_csv
+from evcalc.convergence import _dual_track_rows, _repeated_sum, _write_csv
 from evcalc.rng import SplitMix64, _bernoulli_blocks, _bernoulli_outcomes
 
 UNIT = UnitWeights()
@@ -86,12 +87,13 @@ def _splitmix_outcomes(seed, q, n):
 
 
 # both block generator forms against the class: empty, partial, exact and
-# several 1024-draw blocks, and thresholds T = ceil(q * 2**53) of 0, 1, 2, 2**53 - 1, 2**53
+# several 1024-draw blocks, and thresholds T = ceil(q * 2**53) of 0, 1, 2, 2**53 - 1, 2**53;
+# ten blocks carry the packed lane states across many wraps of 2**64
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 12345, 2**64 - 1])
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0, 5e-324, 2.0**-53, 3 * 2.0**-54, 0.9999999999999999])
 def test_inlined_bernoulli_iterator_matches_splitmix64(seed, q):
-    expected = _splitmix_outcomes(seed, q, 3 * 1024 + 7)
-    for n in (0, 1, 500, 1023, 1024, 1025, 3 * 1024 + 7):
+    expected = _splitmix_outcomes(seed, q, 10 * 1024 + 3)
+    for n in (0, 1, 500, 1023, 1024, 1025, 3 * 1024 + 7, 10 * 1024 + 3):
         got = list(_bernoulli_outcomes(seed, q, n))
         assert all(type(o) is bool for o in got)  # so generate_stream stays list[bool]
         assert got == expected[:n]
@@ -172,6 +174,12 @@ def test_bernoulli_stream_rate_sanity():
 def test_stream_spec_validation(kwargs):
     with pytest.raises(ValidationError):
         StreamSpec(**kwargs)
+
+
+def test_explicit_stream_spec_stores_whole_steps_as_int():
+    # as the other modes do: a whole float step count is stored as an int
+    spec = StreamSpec(mode="explicit", outcomes=(True, False, True, True, False), steps=5.0)
+    assert spec.steps == 5 and type(spec.steps) is int
 
 
 # --- run_dual_track ---
@@ -265,6 +273,14 @@ def test_record_every_keeps_start_and_final():
             run_dual_track(spec, UNIT, record_every=bad)
 
 
+def test_whole_float_record_every_gives_the_integer_rows():
+    # absorbed within the first block, so the rows come from the counting loop
+    spec = StreamSpec(mode="bernoulli", steps=10_000, q=0.7, seed=5)
+    rows = run_dual_track(spec, UNIT, record_every=2000).rows
+    assert [row.t for row in rows] == [0, 2000, 4000, 6000, 8000, 10_000]
+    assert repr(run_dual_track(spec, UNIT, record_every=2000.0).rows) == repr(rows)
+
+
 def test_unit_weight_whose_support_rounds_to_one_is_rejected():
     # from 54 ln 2 on, 1 - e^-w rounds to 1: one outcome would be certain
     # evidence and the first opposite outcome a total conflict
@@ -325,6 +341,11 @@ def _reference_rows(spec, unit, record_every):
             yield (t, t_plus, state.bel, state.pl, fi.l, fi.u, counts.w_plus / counts.w_total)
 
 
+# unit weights in general, and ones whose k-fold sum the fold may take in closed form:
+# exactly always (dyadic, small integers) or only up to 511 copies (1 + 2**-44)
+_SHORT_WEIGHTS = st.sampled_from([1.0, 0.5, 0.25, 2.0, 3.0, 1 + 2**-44, 2**-30])
+
+
 def _rows_and_error(rows):
     """The rows produced before an exception, and the exception's type."""
     out = []
@@ -341,14 +362,16 @@ def _rows_and_error(rows):
     q=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**64 - 1),
     steps=st.integers(0, 2000),
-    w0_plus=st.floats(0.0, 37.4, exclude_min=True),
-    w0_minus=st.floats(0.0, 37.4, exclude_min=True),
-    record_every=st.sampled_from([1, 7, 1000]),
+    w0_plus=st.one_of(st.floats(0.0, 37.4, exclude_min=True), _SHORT_WEIGHTS),
+    w0_minus=st.one_of(st.floats(0.0, 37.4, exclude_min=True), _SHORT_WEIGHTS),
+    record_every=st.sampled_from([1, 7, 1000, 1025, 1500]),
 )
 # a negative outcome at (1, 1) is a total conflict: never met, met after four rows
 @example(mode="frequency_faithful", q=0.995, seed=0, steps=50, w0_plus=24.69, w0_minus=36.89, record_every=1)
 @example(mode="bernoulli", q=0.551, seed=759152683, steps=50, w0_plus=28.09, w0_minus=28.47, record_every=1)
 @example(mode="bernoulli", q=0.7, seed=3, steps=2000, w0_plus=1.0, w0_minus=1.0, record_every=7)
+# about 1800 positives, most counted past the 511 copies of 1 + 2**-44 that k * w0+ holds exactly
+@example(mode="bernoulli", q=0.9, seed=1, steps=2000, w0_plus=1 + 2**-44, w0_minus=1.0, record_every=1500)
 def test_fold_matches_a_value_by_value_reference(mode, q, seed, steps, w0_plus, w0_minus, record_every):
     # the same rows bit for bit (repr tells signed zeros apart), and an
     # exception of the same type after the same rows
@@ -395,14 +418,16 @@ def _runs_of_outcomes(runs):
 
 @given(
     outcomes=st.lists(st.tuples(st.booleans(), st.integers(1, 2500)), max_size=10).map(_runs_of_outcomes),
-    w0_plus=st.floats(0.0, 37.0, exclude_min=True, exclude_max=True),
-    w0_minus=st.floats(0.0, 37.0, exclude_min=True, exclude_max=True),
-    record_every=st.integers(1, 3000),
+    w0_plus=st.one_of(st.floats(0.0, 37.0, exclude_min=True, exclude_max=True), _SHORT_WEIGHTS),
+    w0_minus=st.one_of(st.floats(0.0, 37.0, exclude_min=True, exclude_max=True), _SHORT_WEIGHTS),
+    record_every=st.one_of(st.integers(1, 3000), st.sampled_from([1024, 2048, 4096])),
 )
 # absorbed at (1, 1) within the first block, then whole blocks counted between rows
 @example(outcomes=[True] * 3000 + [False, True, True] * 600, w0_plus=0.1, w0_minus=0.1, record_every=1000)
 @example(outcomes=[False] * 1100 + [True] * 2000, w0_plus=2.5, w0_minus=0.3, record_every=1025)
 @example(outcomes=[True, True, False] * 1666, w0_plus=1.0, w0_minus=0.5, record_every=1024)  # rows end blocks
+# the positive count passes the 511 copies of 1 + 2**-44 that k * w0+ holds exactly
+@example(outcomes=[True] * 2000 + [False, True] * 1500, w0_plus=1 + 2**-44, w0_minus=1.0, record_every=1500)
 def test_counting_whole_blocks_equals_walking_every_step(outcomes, w0_plus, w0_minus, record_every):
     # the reference combines on every step, with no absorption and no counting
     spec = StreamSpec(mode="explicit", outcomes=outcomes)
@@ -411,6 +436,17 @@ def test_counting_whole_blocks_equals_walking_every_step(outcomes, w0_plus, w0_m
     want, want_error = _rows_and_error(_reference_rows(spec, unit, record_every))
     assert repr(got) == repr(want)
     assert got_error is want_error
+
+
+@pytest.mark.parametrize("w0", [1 + 2**-44, 1 + 2**-40, 0.1, 0.3])
+def test_repeated_sum_takes_the_closed_form_only_within_its_bound(w0):
+    exact = 2**53 // w0.as_integer_ratio()[0]
+    sums = list(accumulate(repeat(w0, exact + 600), initial=0.0))  # sums[c]: c additions
+    assert all(c * w0 == sums[c] for c in range(exact + 1))
+    assert any(c * w0 != sums[c] for c in range(exact + 1, exact + 601))  # the bound is needed
+    for count in (exact, exact + 1, exact + 600):
+        for done in (0, count // 2, count - 1):
+            assert _repeated_sum(w0, count, exact, done, sums[done]) == sums[count]
 
 
 # --- CSV ---
