@@ -244,7 +244,6 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
             except (TotalConflictError, ValidationError):
                 pass
         bel, pl = b, p
-    exact_plus, exact_minus = (2**53 // w0.as_integer_ratio()[0] for w0 in (w0_plus, w0_minus))
     done_plus, done_minus = t_plus, t - t_plus  # the counts w_plus and w_minus sum
     for block in chain((bytes(islice(outcomes, -t % _LANES)),), blocks):  # this block's rest first
         end = t + len(block)
@@ -255,8 +254,8 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
         # count up to the first row, walk to the last, then count the rest
         first, stop = min(record_every - 1 - t % record_every, last - t - 1), last - t
         t, t_plus = t + first, t_plus + block.count(1, 0, first)
-        w_plus = _repeated_sum(w0_plus, t_plus, exact_plus, done_plus, w_plus)
-        w_minus = _repeated_sum(w0_minus, t - t_plus, exact_minus, done_minus, w_minus)
+        w_plus = _repeated_sum(w0_plus, t_plus, done_plus, w_plus)
+        w_minus = _repeated_sum(w0_minus, t - t_plus, done_minus, w_minus)
         for positive in block[first:stop]:
             t += 1
             if positive:
@@ -274,14 +273,14 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
         t, t_plus = end, t_plus + block.count(1, stop)
 
 
-def _repeated_sum(w0: float, count: int, exact: int, done: int, w: float) -> float:
+def _repeated_sum(w0: float, count: int, done: int, w: float) -> float:
     """count copies of w0 added one at a time from 0.0, given w, the sum of the first done.
 
-    With exact = 2**53 // (the numerator of w0.as_integer_ratio()), every partial
-    sum of at most exact copies is an integer of at most 2**53 times w0's
-    power-of-two denominator, so no addition rounds and count * w0 is that sum
-    bit for bit; past exact, reduce makes the remaining additions in order."""
-    return count * w0 if count <= exact else reduce(add, repeat(w0, count - done), w)
+    While count * num <= 2**53 for the numerator num of w0.as_integer_ratio(),
+    every partial sum is an integer of at most 2**53 times w0's power-of-two
+    denominator, so no addition rounds and count * w0 is that sum bit for bit;
+    past that bound, reduce makes the remaining additions in order."""
+    return count * w0 if count * w0.as_integer_ratio()[0] <= 2**53 else reduce(add, repeat(w0, count - done), w)
 
 
 class LimitReport(_Value):

@@ -444,9 +444,9 @@ def test_repeated_sum_takes_the_closed_form_only_within_its_bound(w0):
     sums = list(accumulate(repeat(w0, exact + 600), initial=0.0))  # sums[c]: c additions
     assert all(c * w0 == sums[c] for c in range(exact + 1))
     assert any(c * w0 != sums[c] for c in range(exact + 1, exact + 601))  # the bound is needed
-    for count in (exact, exact + 1, exact + 600):
+    for count in (exact, exact + 1, exact + 300, exact + 600):
         for done in (0, count // 2, count - 1):
-            assert _repeated_sum(w0, count, exact, done, sums[done]) == sums[count]
+            assert _repeated_sum(w0, count, done, sums[done]) == sums[count]
 
 
 # --- CSV ---
