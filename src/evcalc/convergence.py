@@ -247,7 +247,7 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
     done_plus, done_minus = t_plus, t - t_plus  # the counts w_plus and w_minus sum
     for block in chain((bytes(islice(outcomes, -t % _LANES)),), blocks):  # this block's rest first
         end = t + len(block)
-        last = end if end == total_steps else end - end % record_every  # the block's last row
+        last = end if end == total_steps else end - end % record_every  # its last row, if after t
         if last <= t:  # it has none
             t, t_plus = end, t_plus + block.count(1)
             continue
