@@ -412,3 +412,124 @@ def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--help"])
     assert excinfo.value.code == 0
+
+
+# the parser's texts, byte for byte at 80 columns
+
+HELP = {
+    "": """\
+usage: evcalc [-h] {combine,convert,simulate,defect-demo,delta-demo} ...
+
+Command-line surface.
+
+Subcommands:
+  combine      fold two or more serialized values under Dempster's rule or
+               the lower/upper frequency rule
+  convert      translate a value between belpl, weights, lu and counts form
+  simulate     run an outcome stream through both calculi, emitting CSV
+  defect-demo  show iterated Dempster combination leaving the outcome rate
+               while the frequency interval tracks it
+  delta-demo   show the fold landing on the analytic point 1/(1 + e^delta)
+
+combine and convert read JSON from arguments or stdin and write JSON to
+stdout; simulate streams CSV to stdout or --out row by row, so the rows
+written before a mid-run error stay written, and prints its summary to
+stderr.  A reader that closes stdout early (`| head`) ends the run quietly.
+Exit codes: 0 success (also when the stdout reader stops early), 1 usage,
+malformed input, a unit weight of 54 ln 2 (about 37.43) or more, or an
+output that cannot be written (--out or stdout, such as a full disk),
+2 mathematical error, 3 conflict of conventions (a report, not a failure).
+
+positional arguments:
+  {combine,convert,simulate,defect-demo,delta-demo}
+    combine             fold serialized values with one of the two rules
+    convert             translate a value between representations
+    simulate            run a stream through both calculi, emit CSV
+    defect-demo         Dempster track versus frequency track at chance q
+    delta-demo          fold against the analytic point 1/(1+e^delta)
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "combine": """\
+usage: evcalc combine [-h] --rule {dempster,lu} [values ...]
+
+positional arguments:
+  values                JSON values; a JSON array on stdin if omitted
+
+options:
+  -h, --help            show this help message and exit
+  --rule {dempster,lu}
+""",
+    "convert": """\
+usage: evcalc convert [-h] --from {belpl,weights,lu,counts} --to
+                      {belpl,weights,lu,counts}
+                      [value]
+
+positional arguments:
+  value                 JSON value; read from stdin if omitted
+
+options:
+  -h, --help            show this help message and exit
+  --from {belpl,weights,lu,counts}
+  --to {belpl,weights,lu,counts}
+""",
+    "simulate": """\
+usage: evcalc simulate [-h] --q Q --steps STEPS [--seed SEED]
+                       [--w0-pos W0_POS] [--w0-neg W0_NEG]
+                       [--mode {bernoulli,faithful}]
+                       [--record-every RECORD_EVERY] [--out OUT]
+
+options:
+  -h, --help            show this help message and exit
+  --q Q                 chance of a positive outcome
+  --steps STEPS
+  --seed SEED
+  --w0-pos W0_POS
+  --w0-neg W0_NEG
+  --mode {bernoulli,faithful}
+  --record-every RECORD_EVERY
+  --out OUT             CSV file path; stdout if omitted
+""",
+    "defect-demo": """\
+usage: evcalc defect-demo [-h] [--q Q] [--steps STEPS] [--w0-pos W0_POS]
+                          [--w0-neg W0_NEG]
+
+options:
+  -h, --help       show this help message and exit
+  --q Q
+  --steps STEPS
+  --w0-pos W0_POS
+  --w0-neg W0_NEG
+""",
+    "delta-demo": """\
+usage: evcalc delta-demo [-h] --delta DELTA [--steps STEPS]
+
+options:
+  -h, --help     show this help message and exit
+  --delta DELTA
+  --steps STEPS
+""",
+}
+
+INVALID_CHOICE = {
+    "from": (["convert", "--from", "x", "--to", "lu", "1"],
+             "error: argument --from: invalid choice: 'x' (choose from 'belpl', 'weights', 'lu', 'counts')\n"),
+    "to": (["convert", "--from", "lu", "--to", "x", "1"],
+           "error: argument --to: invalid choice: 'x' (choose from 'belpl', 'weights', 'lu', 'counts')\n"),
+    "rule": (["combine", "--rule", "x", "1", "2"], "error: argument --rule: invalid choice: 'x' (choose from 'dempster', 'lu')\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "evcalc")
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"] if command else ["--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == HELP[command]
+
+
+@pytest.mark.parametrize("argv, stderr", INVALID_CHOICE.values(), ids=list(INVALID_CHOICE))
+def test_invalid_choice_message_is_pinned(capsys, argv, stderr):
+    assert run_cli(capsys, *argv) == (1, "", stderr)
