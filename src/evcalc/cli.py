@@ -26,33 +26,13 @@ import contextlib
 import json
 import os
 import sys
+from functools import reduce
 
-from .binary_frame import BeliefInterval
-from .convergence import StreamSpec, _dual_track_rows, _write_csv
-from .dempster import combine_interval
 from .errors import (
     InfiniteEvidenceError,
     TotalConflictError,
     ValidationError,
     ZeroEvidenceError,
-)
-from .evidence_scale import (
-    EvidenceWeights,
-    UnitWeights,
-    belief_from_weights,
-    classify_limit,
-    delta_limit,
-    weights_from_belief,
-)
-from .lower_upper import (
-    ConflictReport,
-    EvidenceCounts,
-    FrequencyInterval,
-    counts_from_interval,
-    counts_from_weights,
-    lu_from_weights,
-    pool_lu,
-    weights_from_counts,
 )
 
 EXIT_OK = 0
@@ -60,19 +40,10 @@ EXIT_USAGE = 1
 EXIT_MATH = 2
 EXIT_CONFLICT = 3
 
-# format -> (parse, to weights, from weights); every conversion goes through the weights
-FORMATS = {
-    "belpl": (BeliefInterval.from_dict, weights_from_belief, belief_from_weights),
-    "weights": (EvidenceWeights.from_dict, lambda w: w, lambda w: w),
-    "lu": (FrequencyInterval.from_dict, lambda fi: weights_from_counts(counts_from_interval(fi)), lu_from_weights),
-    "counts": (EvidenceCounts.from_dict, weights_from_counts, counts_from_weights),
-}
-
-# rule -> (parse, pool)
-RULES = {
-    "dempster": (BeliefInterval.from_dict, combine_interval),
-    "lu": (FrequencyInterval.from_dict, pool_lu),
-}
+# the wire formats and combination rules; each command imports the library
+# modules it runs when it runs
+FORMATS = ("belpl", "weights", "lu", "counts")
+RULES = ("dempster", "lu")
 
 
 class _UsageError(Exception):
@@ -121,25 +92,52 @@ def _cmd_combine(args) -> tuple[int, dict]:
     values = _read_values(args)
     if len(values) < 2:
         raise _UsageError("combine needs at least two values")
-    parse, pool = RULES[args.rule]
-    acc = parse(values[0])
+    if args.rule == "dempster":  # Dempster's rule reports no conflict: it combines or raises
+        from .binary_frame import BeliefInterval
+        from .dempster import combine_interval
+
+        return EXIT_OK, reduce(combine_interval, map(BeliefInterval.from_dict, values)).to_dict()
+    from .lower_upper import ConflictReport, FrequencyInterval, pool_lu
+
+    acc = FrequencyInterval.from_dict(values[0])
     for raw in values[1:]:
-        acc = pool(acc, parse(raw))
+        acc = pool_lu(acc, FrequencyInterval.from_dict(raw))
         if isinstance(acc, ConflictReport):
             return EXIT_CONFLICT, acc.to_dict()
     return EXIT_OK, acc.to_dict()
 
 
 def _cmd_convert(args) -> tuple[int, dict]:
+    from .binary_frame import BeliefInterval
+    from .evidence_scale import EvidenceWeights, belief_from_weights, weights_from_belief
+    from .lower_upper import (
+        EvidenceCounts,
+        FrequencyInterval,
+        counts_from_interval,
+        counts_from_weights,
+        lu_from_weights,
+        weights_from_counts,
+    )
+
+    # format -> (parse, to weights, from weights); every conversion goes through the weights
+    formats = {
+        "belpl": (BeliefInterval.from_dict, weights_from_belief, belief_from_weights),
+        "weights": (EvidenceWeights.from_dict, lambda w: w, lambda w: w),
+        "lu": (FrequencyInterval.from_dict, lambda fi: weights_from_counts(counts_from_interval(fi)), lu_from_weights),
+        "counts": (EvidenceCounts.from_dict, weights_from_counts, counts_from_weights),
+    }
     raw = args.value if args.value is not None else sys.stdin.read()
-    parse, to_weights, _ = FORMATS[args.source]
+    parse, to_weights, _ = formats[args.source]
     value = parse(_load_json(raw))
     if args.source != args.target:
-        value = FORMATS[args.target][2](to_weights(value))
+        value = formats[args.target][2](to_weights(value))
     return EXIT_OK, value.to_dict()
 
 
 def _cmd_simulate(args) -> tuple[int, None]:
+    from .convergence import StreamSpec, _dual_track_rows, _write_csv
+    from .evidence_scale import UnitWeights, classify_limit
+
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     mode = "frequency_faithful" if args.mode == "faithful" else "bernoulli"
     spec = StreamSpec(mode=mode, steps=args.steps, q=args.q, seed=args.seed)
@@ -164,18 +162,21 @@ def _cmd_simulate(args) -> tuple[int, None]:
     return EXIT_OK, None
 
 
-def _final_row(spec: StreamSpec, unit: UnitWeights) -> tuple:
-    """The last (t, t_plus, bel, pl, l, u, f) row of the fold; the rows
+def _final_row(rows) -> tuple:
+    """The last of the fold's (t, t_plus, bel, pl, l, u, f) rows; the rows
     before it are dropped as they come."""
-    for row in _dual_track_rows(spec, unit):
+    for row in rows:
         pass
     return row
 
 
 def _cmd_defect_demo(args) -> tuple[int, dict]:
+    from .convergence import StreamSpec, _dual_track_rows
+    from .evidence_scale import UnitWeights, classify_limit
+
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     spec = StreamSpec(mode="frequency_faithful", steps=args.steps, q=args.q)
-    _, _, bel, pl, l, u, f = _final_row(spec, unit)
+    _, _, bel, pl, l, u, f = _final_row(_dual_track_rows(spec, unit))
     return EXIT_OK, {
         "q": args.q,
         "steps": args.steps,
@@ -191,10 +192,13 @@ def _cmd_defect_demo(args) -> tuple[int, dict]:
 
 
 def _cmd_delta_demo(args) -> tuple[int, dict]:
+    from .convergence import StreamSpec, _dual_track_rows
+    from .evidence_scale import UnitWeights, delta_limit
+
     spec = StreamSpec(mode="delta_profile", steps=args.steps, delta=args.delta)  # checks delta
     if args.steps < spec.delta:
         raise _UsageError("steps must be at least delta")
-    bel = _final_row(spec, UnitWeights())[2]
+    bel = _final_row(_dual_track_rows(spec, UnitWeights()))[2]
     analytic = delta_limit(spec.delta)
     return EXIT_OK, {
         "delta": int(spec.delta),

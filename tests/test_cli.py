@@ -326,22 +326,46 @@ def test_full_stdout_is_a_one_line_error(argv):
     assert proc.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
 
+def _loaded(statement: str) -> set:
+    """The modules loaded after statement runs in a new interpreter on this checkout's evcalc."""
+    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
+    probe = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())  # the line after any output of statement
+
+
 def test_import_loads_no_dataclass_machinery():
     # compared with a bare interpreter, so a site hook that preloads either
     # module does not count against the import
-    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
-    probe = "import sys; {}print(' '.join(sorted(sys.modules)))"
-
-    def loaded(statement):
-        proc = subprocess.run(
-            [sys.executable, "-c", probe.format(statement)], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.split())
-
-    added = loaded("import evcalc.cli; ") - loaded("")
+    added = _loaded("import evcalc.cli") - _loaded("")
     assert "evcalc.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# the evcalc modules each call loads, and so compiles when no bytecode is cached
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (None, "cli errors"),
+        (["convert", "--from", "counts", "--to", "belpl", '{"w_plus": 1, "w_total": 2}'],
+         "binary_frame cli errors evidence_scale lower_upper"),
+        (["combine", "--rule", "dempster", '{"bel": 0.5, "pl": 1}', '{"bel": 0.5, "pl": 1}'],
+         "binary_frame cli dempster errors"),
+        (["combine", "--rule", "lu", '{"kind": "point", "value": 0.5}', '{"kind": "interval", "l": 0, "u": 1}'],
+         "binary_frame cli errors evidence_scale lower_upper"),
+        (["simulate", "--q", "0.7", "--steps", "20", "--mode", "bernoulli"],
+         "binary_frame cli convergence dempster errors evidence_scale rng"),
+        (["defect-demo", "--steps", "20"], "binary_frame cli convergence dempster errors evidence_scale rng"),
+        (["delta-demo", "--delta", "2", "--steps", "20"],
+         "binary_frame cli convergence dempster errors evidence_scale rng"),
+    ],
+    ids=["import", "convert", "combine-dempster", "combine-lu", "simulate", "defect-demo", "delta-demo"],
+)
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    statement = "import evcalc.cli" if argv is None else f"from evcalc.cli import main\nassert main({argv!r}) == 0"
+    got = {m for m in _loaded(statement) if m.startswith("evcalc.")}
+    assert got == {"evcalc." + m for m in modules.split()}
 
 
 # --- demos ---

@@ -182,6 +182,31 @@ def test_explicit_stream_spec_stores_whole_steps_as_int():
     assert spec.steps == 5 and type(spec.steps) is int
 
 
+# one valid spec per mode, without its seed
+SPEC_PER_MODE = {
+    "bernoulli": {"mode": "bernoulli", "steps": 5, "q": 0.5},
+    "frequency_faithful": {"mode": "frequency_faithful", "steps": 5, "q": 0.5},
+    "delta_profile": {"mode": "delta_profile", "steps": 5, "delta": 1},
+    "explicit": {"mode": "explicit", "outcomes": (True, False)},
+}
+
+
+@pytest.mark.parametrize("seed", [5.0, True])
+@pytest.mark.parametrize("kwargs", SPEC_PER_MODE.values(), ids=list(SPEC_PER_MODE))
+def test_stream_spec_stores_the_seed_as_an_int(kwargs, seed):
+    spec = StreamSpec(**kwargs, seed=seed)
+    assert spec.seed == int(seed) and type(spec.seed) is int
+
+
+@pytest.mark.parametrize("seed", ["abc", -3, 2**64])
+@pytest.mark.parametrize("kwargs", SPEC_PER_MODE.values(), ids=list(SPEC_PER_MODE))
+def test_stream_spec_checks_the_seed_in_every_mode(kwargs, seed):
+    # delta_profile and explicit streams draw no random numbers, but a spec
+    # holds only seeds that would replay
+    with pytest.raises(ValidationError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        StreamSpec(**kwargs, seed=seed)
+
+
 # --- run_dual_track ---
 
 
