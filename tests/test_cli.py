@@ -463,6 +463,7 @@ Exit codes: 0 success (also when the stdout reader stops early), 1 usage,
 malformed input, a unit weight of 54 ln 2 (about 37.43) or more, or an
 output that cannot be written (--out or stdout, such as a full disk),
 2 mathematical error, 3 conflict of conventions (a report, not a failure).
+Each command imports, and so compiles, only the library modules it runs.
 
 positional arguments:
   {combine,convert,simulate,defect-demo,delta-demo}
