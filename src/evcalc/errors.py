@@ -25,10 +25,10 @@ class ZeroEvidenceError(ValueError):
 
 
 def _is_whole(x) -> bool:
-    """x == int(x), where nan and inf (int() raises) are not whole."""
+    """x == int(x), where nan, inf and non-numbers such as None (int() raises) are not whole."""
     try:
         return int(x) == x
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 

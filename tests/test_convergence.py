@@ -198,7 +198,7 @@ def test_stream_spec_stores_the_seed_as_an_int(kwargs, seed):
     assert spec.seed == int(seed) and type(spec.seed) is int
 
 
-@pytest.mark.parametrize("seed", ["abc", -3, 2**64])
+@pytest.mark.parametrize("seed", ["abc", -3, 2**64, None])
 @pytest.mark.parametrize("kwargs", SPEC_PER_MODE.values(), ids=list(SPEC_PER_MODE))
 def test_stream_spec_checks_the_seed_in_every_mode(kwargs, seed):
     # delta_profile and explicit streams draw no random numbers, but a spec
