@@ -1,0 +1,231 @@
+"""Golden kernel outputs: every output bit of the library's value kernels.
+
+A seeded grid of inputs (drawn here with random.Random, so the file needs
+nothing outside the package) runs through the value constructors, the eight
+benchmarked kernels and the public weight/count/interval chains.  Each
+result is encoded by float.hex of every field and of BeliefInterval's
+carried complement and width, a raised error by its class and message, and
+each group of calls is pinned by one sha256.  A change that moves one bit
+of one output, or turns a repair into an error, fails here.
+"""
+
+import hashlib
+import math
+import random
+
+import pytest
+
+from evcalc import (
+    BeliefInterval,
+    EvidenceCounts,
+    EvidenceWeights,
+    FrequencyInterval,
+    InfiniteEvidenceError,
+    MassAssignment,
+    ValidationError,
+    belief_from_weights,
+    belpl_from_lu,
+    combine_interval,
+    combine_lu,
+    combine_mass,
+    counts_from_interval,
+    counts_from_weights,
+    interval_from_counts,
+    lu_from_belpl,
+    lu_from_weights,
+    weights_from_belief,
+    weights_from_counts,
+)
+
+SLACK = 1e-12
+N = 80  # draws per input family
+
+
+def _encode(value) -> str:
+    if type(value) is float:
+        return value.hex()
+    if value is None or type(value) is str:
+        return repr(value)
+    if type(value) is tuple:
+        return "(" + ",".join(map(_encode, value)) + ")"
+    fields = ",".join(_encode(getattr(value, name)) for name in value._fields)
+    return f"{type(value).__name__}({fields};{_encode(getattr(value, '_carried', None))})"
+
+
+def _outcome(call, *args) -> str:
+    try:
+        return _encode(call(*args))
+    except ValueError as exc:  # every evcalc error is one
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _pairs(rng: random.Random) -> list[tuple]:
+    """(bel, pl) or (l, u) pairs: inner, Bayesian points, the ends, pairs
+    inside the slack (just outside [0, 1], inverted by less than 1e-12) and
+    pairs beyond it."""
+    r, tiny = rng.random, lambda: rng.uniform(0.0, 0.9 * SLACK)
+    pairs = [(0.0, 1.0), (0.0, 0.0), (1.0, 1.0), (-0.0, 1.0), (0, 1), ("0.25", "0.75")]
+    pairs += [(math.nan, 0.5), (0.2, math.inf), (-math.inf, 0.5), (-2e-12, 0.5), (0.5, 1.0 + 2e-12), (0.6, 0.4)]
+    for _ in range(N):
+        lo, hi = sorted((r(), r()))
+        x = r()
+        pairs += [(lo, hi), (x, x), (-tiny(), hi), (lo, 1.0 + tiny()), (x + tiny(), x), (-tiny(), 1.0 + tiny())]
+        pairs.append((x + 1.1 * SLACK + tiny(), x))
+    return pairs
+
+
+def _weights(rng: random.Random) -> list[tuple]:
+    u, tiny = rng.uniform, lambda: rng.uniform(0.0, 0.9 * SLACK)
+    weights = [(0.0, 0.0), (-0.0, 0.0), (40.0, 0.0), (38.0, 37.0), (700.0, 0.0), (1e308, 1e308), (3, "2.5")]
+    weights += [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 1.0), (-2e-12, 1.0), (1.0, -1.0), (1.8e308, 0.0)]
+    for _ in range(N):
+        weights += [(u(0, 8), u(0, 8)), (u(0, 40), u(0, 40)), (-tiny(), u(0, 8)), (u(0, 8), -tiny())]
+    return weights
+
+
+def _counts(rng: random.Random) -> list[tuple]:
+    u = rng.uniform
+    counts = [(0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1e308, 1e308), (6, 10), ("2", "3")]
+    counts += [(math.nan, 1.0), (1.0, math.inf), (-1e-300, 1.0), (0.5, -0.5), (2.0, 1.0), (1.0 + 1e-9, 1.0)]
+    for _ in range(N):
+        wt = u(0, 1000)
+        counts += [(u(0, wt), wt), (wt, wt), (wt * (1 + 5e-10), wt), (u(0, 1e6), 1e6), (wt * (1 + 2e-9) + 1, wt)]
+    return counts
+
+
+def _masses(pairs: list[tuple], rng: random.Random) -> list[tuple]:
+    masses = [(1.0, 0.0, 0.0), (0.5, 0.5 + 1e-13, -1e-13), (0.2, 0.3, 0.5 + 5e-13)]
+    for b, p in pairs:
+        b, p = float(b), float(p)
+        m = (b, 1.0 - p, p - b)
+        masses.append(m)
+        masses.append((m[0] + rng.uniform(-SLACK, SLACK) / 2, m[1], m[2]))
+    return masses
+
+
+def _built(ctor, args_list) -> list:
+    """The values ctor builds from args_list, leaving out the rejected ones."""
+    values = []
+    for args in args_list:
+        try:
+            values.append(ctor(*args))
+        except ValueError:
+            pass
+    return values
+
+
+def _grid(seed: int = 20131) -> dict[str, list[str]]:
+    rng = random.Random(seed)
+    pairs, weights, counts = _pairs(rng), _weights(rng), _counts(rng)
+    masses = _masses(pairs, rng)
+    intervals, frequencies = _built(BeliefInterval, pairs), _built(FrequencyInterval, pairs)
+    finite, value_counts = _built(EvidenceWeights.finite, weights), _built(EvidenceCounts, counts)
+    built = [belief_from_weights(w) for w in finite]  # carrying their complement and width
+    infinite = [EvidenceWeights.infinite(d) for d in (-math.inf, -3.5, 0.0, 2.0, math.inf)]
+    shuffled = rng.sample(intervals, len(intervals))
+    shuffled_masses = rng.sample(masses, len(masses))
+    shuffled_freq = rng.sample(frequencies, len(frequencies))
+    grid = {
+        "BeliefInterval": [_outcome(BeliefInterval, *p) for p in pairs],
+        "FrequencyInterval": [_outcome(FrequencyInterval, *p) for p in pairs],
+        "MassAssignment": [_outcome(MassAssignment, *m) for m in masses],
+        "EvidenceWeights.finite": [_outcome(EvidenceWeights.finite, *w) for w in weights],
+        "EvidenceCounts": [_outcome(EvidenceCounts, *c) for c in counts],
+        # high-conflict, low-conflict and Bayesian point pairs, in one shuffle
+        "combine_interval": [_outcome(combine_interval, a, b) for a, b in zip(intervals, shuffled)],
+        "combine_mass": [
+            _outcome(lambda a, b: combine_mass(MassAssignment(*a), MassAssignment(*b)), a, b)
+            for a, b in zip(masses, shuffled_masses)
+        ],
+        "combine_lu": [_outcome(combine_lu, a, b) for a, b in zip(frequencies, shuffled_freq)],
+        "belief_from_weights": [_outcome(belief_from_weights, w) for w in finite + infinite],
+        "weights_from_belief": [_outcome(weights_from_belief, iv) for iv in intervals + built],
+        "lu_from_belpl": [_outcome(lu_from_belpl, iv) for iv in intervals + built],
+        "belpl_from_lu": [_outcome(belpl_from_lu, fi) for fi in frequencies],
+        "interval_from_counts": [_outcome(interval_from_counts, c) for c in value_counts],
+        "counts_from_interval": [_outcome(counts_from_interval, fi) for fi in frequencies],
+        "weights_from_counts": [_outcome(weights_from_counts, c) for c in value_counts],
+        "counts_from_weights": [_outcome(counts_from_weights, w) for w in finite + infinite],
+        "lu_from_weights": [_outcome(lu_from_weights, w) for w in finite + infinite],
+    }
+    for name, outcomes in grid.items():
+        assert len(outcomes) >= 40, name
+    return grid
+
+
+GOLDEN = {
+    "BeliefInterval": "14e78c9f714a7d256741867129b81c48d52402dd8f53051f0de7a931d10ad5cb",
+    "FrequencyInterval": "4b1536a2a94634369239d510808bf47eae5b4f22bdef9233b9f3c249bcaad149",
+    "MassAssignment": "2c8e6f75a0cc215cdf80ee7841a4dfd2397dcb686d7b4b2bdf375e24aa2812e8",
+    "EvidenceWeights.finite": "4ab0576b32e7c8bcf43ec7fe5e711f45d2c0f61bb3e3c2b6ddc3307fc425b09c",
+    "EvidenceCounts": "c7ec797cab0fffb12d9e4646288053ee77de17503082536c6ee97afc7828edb3",
+    "combine_interval": "d912400c2d882ca03cc418b5c19ed18ee6c9f19f630a95f851b9fe0fdd9adda5",
+    "combine_mass": "bf2e67a2a8d455cf9ddf6567d9910499f2c30abdce88c5d82743a26684182a89",
+    "combine_lu": "4fefa96be5ca064e2b468af463a5a14e0eeb1caabcbdc678c9ab7cfb2d5e1f0a",
+    "belief_from_weights": "a74332027d9dc840fe9805db7cf1c8bcab47cdf1ca6027e7266bbab3e6ff0161",
+    "weights_from_belief": "1bdad9744e29ee58ff9fec96d961fe0a39c207cdeac2a05d93453552e8079a3d",
+    "lu_from_belpl": "88cb732cf0de9759acc8b849e72113eb6372bb8ca94f4b2a7e9e6987c7672c94",
+    "belpl_from_lu": "73269b51dd22f10c928898d26be601714eb6b6dfa07fbbd788f6d350bdee1969",
+    "interval_from_counts": "72f605d81b053ebcf0190545549c43c687279994b48e65285ecd002edb1947f8",
+    "counts_from_interval": "dee0c4336e8fac7880267e751056dfac8d7c27fa84638587f2a08d087ec4d0eb",
+    "weights_from_counts": "29a372bf8896b4af382edf4871670ad8ab8912b2c53942e842ab32fb3d28899a",
+    "counts_from_weights": "b85ade97546a38fbff7b61071454524882a2712cdae383c06af9f5d819c87269",
+    "lu_from_weights": "4db0fe74c4a7103f3cfb25834c6be79de3877549dd85d237a7ac7a5d209be048",
+}
+
+
+@pytest.fixture(scope="module")
+def grid():
+    return _grid()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_kernel_outputs_are_pinned(grid, name):
+    digest = hashlib.sha256("\n".join(grid[name]).encode()).hexdigest()
+    assert digest == GOLDEN[name]
+
+
+def test_grid_covers_repairs_errors_and_carried_values(grid):
+    # the slack, the rejections and the carried parts are all in the grid
+    assert any(o.startswith("ValidationError") for o in grid["BeliefInterval"])
+    assert any(o.startswith("ValidationError") for o in grid["EvidenceCounts"])
+    assert any(o.startswith("InfiniteEvidenceError") for o in grid["belpl_from_lu"])
+    assert any(";(" in o for o in grid["belpl_from_lu"])
+    assert any(";(" in o for o in grid["belief_from_weights"])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: belpl_from_lu(FrequencyInterval.point(0.3)),
+            InfiniteEvidenceError,
+            "a point carries infinite evidence, finite counts do not exist",
+        ),
+        (
+            lambda: lu_from_weights(EvidenceWeights.finite(1e308, 1e308)),
+            ValidationError,
+            "counts must be finite and nonnegative, got (1e+308, inf)",
+        ),
+        (
+            lambda: BeliefInterval(0.6, 0.6 - 2e-12),
+            ValidationError,
+            "bel must not exceed pl, got (0.6, 0.599999999998)",
+        ),
+    ],
+)
+def test_edge_errors_are_pinned(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_edge_results_are_pinned():
+    # a one-ulp interval: its counts (about 4.5e15, 9e15) give weights whose
+    # difference rounds to -1, so a Bayesian point at 1/(1 + e^-1) that
+    # carries a zero width
+    iv = belpl_from_lu(FrequencyInterval(0.5, math.nextafter(0.5, 1.0)))
+    assert _encode(iv) == "BeliefInterval(0x1.764d4f5d5a2bdp-1,0x1.764d4f5d5a2bdp-1;(0x1.136561454ba86p-2,0x0.0p+0))"
+    # -1e-13 is inside the slack: clamped to 0, then the sum renormalized
+    m = MassAssignment(0.5, 0.5 + 1e-13, -1e-13)
+    assert _encode(m) == "MassAssignment(0x1.ffffffffffc7cp-2,0x1.00000000001c3p-1,0x0.0p+0;None)"
