@@ -36,14 +36,11 @@ def _clamp_unit(value: float, name: str) -> float:
 
 
 def _unit_pair(lo: float, hi: float, lo_name: str, hi_name: str, tolerance: float) -> tuple[float, float]:
-    """Validate an interval (lo, hi) inside [0, 1] and return it repaired.
+    """Repair an interval (lo, hi) of floats; callers test 0 <= lo <= hi <= 1 first.
 
     Each end is coerced by _clamp_unit; a pair inverted by at most tolerance
     (rounding noise) collapses to its midpoint, a wider inversion is an error.
     """
-    lo, hi = float(lo), float(hi)
-    if 0.0 <= lo <= hi <= 1.0:
-        return lo, hi
     lo = _clamp_unit(lo, lo_name)
     hi = _clamp_unit(hi, hi_name)
     if lo > hi:
@@ -59,9 +56,10 @@ class MassAssignment(_Value):
     _fields = ("m_h", "m_not_h", "m_theta")
 
     def __init__(self, m_h: float, m_not_h: float, m_theta: float):
-        h = _clamp_unit(m_h, "m_h")
-        nh = _clamp_unit(m_not_h, "m_not_h")
-        th = _clamp_unit(m_theta, "m_theta")
+        # field by field, so a bad field raises in _clamp_unit before a later one is converted
+        if not (0.0 <= (h := float(m_h)) <= 1.0 and 0.0 <= (nh := float(m_not_h)) <= 1.0
+                and 0.0 <= (th := float(m_theta)) <= 1.0):
+            h, nh, th = _clamp_unit(m_h, "m_h"), _clamp_unit(m_not_h, "m_not_h"), _clamp_unit(m_theta, "m_theta")
         total = h + nh + th
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValidationError(f"masses must sum to 1, got {total!r}")
@@ -104,7 +102,9 @@ class BeliefInterval(_Value):
     _carried = None
 
     def __init__(self, bel: float, pl: float):
-        bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
+        bel, pl = float(bel), float(pl)
+        if not 0.0 <= bel <= pl <= 1.0:
+            bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
         fields = self.__dict__
         fields["bel"] = bel
         fields["pl"] = pl

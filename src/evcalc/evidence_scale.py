@@ -41,10 +41,11 @@ class EvidenceWeights(_Value):
             if w_plus is None or w_minus is None:
                 raise ValidationError("finite weights need both w_plus and w_minus")
             wp, wm = float(w_plus), float(w_minus)
-            if not (math.isfinite(wp) and math.isfinite(wm)) or wp < -SUM_TOLERANCE or wm < -SUM_TOLERANCE:
-                raise ValidationError(f"weights must be finite and nonnegative, got ({w_plus!r}, {w_minus!r})")
-            # rounding noise from log-based inversions may dip just below zero
-            w_plus, w_minus, delta = max(wp, 0.0), max(wm, 0.0), None
+            if not (0.0 <= wp < math.inf and 0.0 <= wm < math.inf):
+                if not (math.isfinite(wp) and math.isfinite(wm)) or wp < -SUM_TOLERANCE or wm < -SUM_TOLERANCE:
+                    raise ValidationError(f"weights must be finite and nonnegative, got ({w_plus!r}, {w_minus!r})")
+                wp, wm = max(wp, 0.0), max(wm, 0.0)  # rounding noise from log-based inversions may dip below zero
+            w_plus, w_minus, delta = wp, wm, None
         elif kind == INFINITE:
             if delta is None:
                 raise ValidationError("infinite weights need delta, the w_minus - w_plus limit")
@@ -62,7 +63,7 @@ class EvidenceWeights(_Value):
 
     @classmethod
     def finite(cls, w_plus: float, w_minus: float) -> EvidenceWeights:
-        return cls(FINITE, w_plus=w_plus, w_minus=w_minus)
+        return cls(FINITE, w_plus, w_minus)
 
     @classmethod
     def infinite(cls, delta: float) -> EvidenceWeights:
@@ -130,7 +131,11 @@ def belief_from_weights(w: EvidenceWeights) -> BeliefInterval:
     if not w.is_finite:
         point = delta_limit(w.delta)
         return BeliefInterval(point, point)
-    wp, wm = w.w_plus, w.w_minus
+    return _belief(w.w_plus, w.w_minus)
+
+
+def _belief(wp: float, wm: float) -> BeliefInterval:
+    """belief_from_weights of finite weights (wp, wm) that have passed the weights check."""
     biggest = max(wp, wm)
     scaled_p = math.exp(wp - biggest)
     scaled_m = math.exp(wm - biggest)
@@ -138,14 +143,6 @@ def belief_from_weights(w: EvidenceWeights) -> BeliefInterval:
     bel = scaled_p * -math.expm1(-wp) / denom
     m_not_h = scaled_m * -math.expm1(-wm) / denom
     return BeliefInterval._carrying(bel, m_not_h, math.exp(-biggest) / denom)
-
-
-def _log1p_ratio(part: float, width: float) -> float:
-    """log(1 + part / width), kept finite where part / width overflows."""
-    ratio = part / width
-    if ratio == math.inf:
-        return math.log(part) - math.log(width)
-    return math.log1p(ratio)
 
 
 def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:
@@ -167,7 +164,11 @@ def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:
             return EvidenceWeights.infinite(-math.inf)
         return EvidenceWeights.infinite(math.log((1.0 - bel) / bel))
     m_h, m_not_h, width = iv.masses()
-    return EvidenceWeights.finite(_log1p_ratio(m_h, width), _log1p_ratio(m_not_h, width))
+    # log(1 + part / width): as bel != pl, m_h / width stays below 2**54, but
+    # a carried complement over a width near the float minimum overflows
+    ratio = m_not_h / width
+    w_minus = math.log1p(ratio) if ratio != math.inf else math.log(m_not_h) - math.log(width)
+    return EvidenceWeights.finite(math.log1p(m_h / width), w_minus)
 
 
 def add_weights(w1: EvidenceWeights, w2: EvidenceWeights) -> EvidenceWeights:

@@ -14,7 +14,7 @@ import math
 
 from .binary_frame import BeliefInterval, _unit_pair
 from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _Value, parse_object
-from .evidence_scale import EvidenceWeights, belief_from_weights, delta_limit, weights_from_belief
+from .evidence_scale import EvidenceWeights, _belief, delta_limit, weights_from_belief
 
 #: Two points closer than this are the same convention.
 POINT_TOLERANCE = 1e-12
@@ -29,7 +29,9 @@ class FrequencyInterval(_Value):
     _fields = ("l", "u")
 
     def __init__(self, l: float, u: float):
-        l, u = _unit_pair(l, u, "l", "u", POINT_TOLERANCE)
+        l, u = float(l), float(u)
+        if not 0.0 <= l <= u <= 1.0:
+            l, u = _unit_pair(l, u, "l", "u", POINT_TOLERANCE)
         fields = self.__dict__
         fields["l"] = l
         fields["u"] = u
@@ -73,13 +75,7 @@ class EvidenceCounts(_Value):
     _fields = ("w_plus", "w_total")
 
     def __init__(self, w_plus: float, w_total: float):
-        wp, wt = float(w_plus), float(w_total)
-        if not (math.isfinite(wp) and math.isfinite(wt)) or wp < 0.0 or wt < 0.0:
-            raise ValidationError(f"counts must be finite and nonnegative, got ({wp!r}, {wt!r})")
-        if wp > wt:
-            if wp - wt > 1e-9 * max(1.0, wt):
-                raise ValidationError(f"w_plus must not exceed w_total, got ({wp!r}, {wt!r})")
-            wp = wt
+        wp, wt = _check_counts(float(w_plus), float(w_total))
         fields = self.__dict__
         fields["w_plus"] = wp
         fields["w_total"] = wt
@@ -93,6 +89,17 @@ class EvidenceCounts(_Value):
     @classmethod
     def from_dict(cls, data) -> EvidenceCounts:
         return parse_object("counts", data, lambda d: cls(float(d["w_plus"]), float(d["w_total"])))
+
+
+def _check_counts(wp: float, wt: float) -> tuple[float, float]:
+    """Counts (w_plus, w_total) checked finite and nonnegative; a w_plus up to 1e-9 relative above w_total snaps to it."""
+    if 0.0 <= wp <= wt < math.inf:
+        return wp, wt
+    if not (math.isfinite(wp) and math.isfinite(wt)) or wp < 0.0 or wt < 0.0:
+        raise ValidationError(f"counts must be finite and nonnegative, got ({wp!r}, {wt!r})")
+    if wp - wt > 1e-9 * max(1.0, wt):  # here wp > wt
+        raise ValidationError(f"w_plus must not exceed w_total, got ({wp!r}, {wt!r})")
+    return wt, wt
 
 
 class ConflictReport(_Value):
@@ -121,10 +128,15 @@ def interval_from_counts(c: EvidenceCounts) -> FrequencyInterval:
 
 def counts_from_interval(fi: FrequencyInterval) -> EvidenceCounts:
     """Invert interval_from_counts; points have no finite counts."""
+    return EvidenceCounts(*_interval_counts(fi))
+
+
+def _interval_counts(fi: FrequencyInterval) -> tuple[float, float]:
+    """counts_from_interval's (w_plus, w_total), before the counts check."""
     if fi.is_point:
         raise InfiniteEvidenceError("a point carries infinite evidence, finite counts do not exist")
     width = fi.u - fi.l
-    return EvidenceCounts(fi.l / width, (1.0 - width) / width)
+    return fi.l / width, (1.0 - width) / width
 
 
 def frequency(fi: FrequencyInterval) -> float:
@@ -210,7 +222,9 @@ def lu_from_weights(w: EvidenceWeights) -> FrequencyInterval:
     """The frequency interval of weights; infinite ones give a point."""
     if not w.is_finite:
         return FrequencyInterval.point(delta_limit(w.delta))
-    return interval_from_counts(counts_from_weights(w))
+    wp, wt = _check_counts(w.w_plus, w.w_plus + w.w_minus)  # as interval_from_counts(counts_from_weights(w))
+    scale = wt + 1.0
+    return FrequencyInterval(wp / scale, (wp + 1.0) / scale)
 
 
 def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
@@ -223,4 +237,5 @@ def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
 
 def belpl_from_lu(fi: FrequencyInterval) -> BeliefInterval:
     """Inverse of lu_from_belpl; a point has no finite counts (InfiniteEvidenceError)."""
-    return belief_from_weights(weights_from_counts(counts_from_interval(fi)))
+    wp, wt = _check_counts(*_interval_counts(fi))
+    return _belief(wp, wt - wp)  # checked counts give weights that pass EvidenceWeights' check
