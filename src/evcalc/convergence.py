@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
 from .dempster import _combine_pairs, combine_interval
-from .errors import TotalConflictError, ValidationError, _is_whole, _Value
+from .errors import TotalConflictError, ValidationError, _is_whole, _real, _Value
 from .evidence_scale import UnitWeights, classify_limit, delta_limit, support_from_weight
 from .rng import _LANES, _bernoulli_blocks, _bernoulli_outcomes, _check_seed
 
@@ -55,8 +55,8 @@ class StreamSpec(_Value):
         if mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "explicit":
-            if outcomes is None:
-                raise ValidationError("explicit mode needs an outcomes sequence")
+            if not isinstance(outcomes, Iterable):  # None included
+                raise ValidationError(f"explicit mode needs an outcomes sequence, got {outcomes!r}")
             outcomes = tuple(bool(o) for o in outcomes)
             if steps is not None and steps != len(outcomes):
                 raise ValidationError(f"steps={steps} does not match {len(outcomes)} explicit outcomes")
@@ -66,12 +66,13 @@ class StreamSpec(_Value):
                 raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
             steps = int(steps)
             if mode in ("bernoulli", "frequency_faithful"):
-                if q is None or not 0.0 <= q <= 1.0:
+                q = _real(q, "q")
+                if not 0.0 <= q <= 1.0:
                     raise ValidationError(f"q must be in [0, 1], got {q!r}")
             else:  # delta_profile
                 if delta is None:
                     raise ValidationError("delta_profile mode needs delta")
-                d = float(delta)
+                d = _real(delta, "delta")
                 if not d.is_integer() or d < 0.0:
                     raise ValidationError(
                         f"delta_profile supports only integer delta >= 0 under unit weights, got {delta!r}"

@@ -32,6 +32,14 @@ def _is_whole(x) -> bool:
         return False
 
 
+def _real(value, name: str) -> float:
+    """float(value), where a value float() rejects (None, "x", a list) is a ValidationError naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+
+
 def parse_object(what: str, data, build):
     """build(data), with a malformed JSON object reported as `bad <what> object`."""
     try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval
-from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _Value, parse_object
+from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _Value, parse_object
 
 #: Exact-tie tolerance for the limit classification.
 TIE_TOLERANCE = 1e-12
@@ -98,7 +98,7 @@ class UnitWeights(_Value):
     def __init__(self, w0_plus: float = 1.0, w0_minus: float = 1.0):
         fields = self.__dict__
         for name, value in (("w0_plus", w0_plus), ("w0_minus", w0_minus)):
-            value = float(value)
+            value = _real(value, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ValidationError(f"{name} must be a finite positive real, got {value!r}")
             fields[name] = value

@@ -169,11 +169,41 @@ def test_bernoulli_stream_rate_sanity():
         {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": math.inf},
         {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": 2**64},  # would alias seed 0
         {"mode": "bernoulli", "steps": 5, "q": 0.5, "seed": 2**70},
+        {"mode": "bernoulli", "steps": 5, "q": "x"},
+        {"mode": "frequency_faithful", "steps": 5, "q": [0.5]},
+        {"mode": "bernoulli", "steps": 5, "q": math.nan},
+        {"mode": "delta_profile", "steps": 5, "delta": "x"},
+        {"mode": "delta_profile", "steps": 5, "delta": 10**400},
+        {"mode": "explicit", "outcomes": 5},
     ],
 )
 def test_stream_spec_validation(kwargs):
     with pytest.raises(ValidationError):
         StreamSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"mode": "bernoulli", "steps": 5, "q": "x"}, "q must be a real number, got 'x'"),
+        ({"mode": "bernoulli", "steps": 5}, "q must be a real number, got None"),
+        ({"mode": "delta_profile", "steps": 5, "delta": "x"}, "delta must be a real number, got 'x'"),
+        ({"mode": "explicit", "outcomes": 5}, "explicit mode needs an outcomes sequence, got 5"),
+        ({"mode": "explicit"}, "explicit mode needs an outcomes sequence, got None"),
+    ],
+)
+def test_stream_spec_names_a_field_that_is_not_a_number(kwargs, message):
+    with pytest.raises(ValidationError) as info:
+        StreamSpec(**kwargs)
+    assert str(info.value) == message
+
+
+def test_stream_spec_stores_q_as_a_float():
+    # as delta is: an int or a numeric string q is stored as the float it stands for
+    for q in (1, "1", 1.0):
+        spec = StreamSpec(mode="bernoulli", steps=5, q=q)
+        assert spec.q == 1.0 and type(spec.q) is float
+        assert spec == StreamSpec(mode="bernoulli", steps=5, q=1.0)
 
 
 def test_explicit_stream_spec_stores_whole_steps_as_int():

@@ -288,11 +288,22 @@ def test_delta_limit_rejects_nan():
         lambda: EvidenceWeights("finite", w_plus=1.0),
         lambda: UnitWeights(0.0, 1.0),
         lambda: UnitWeights(1.0, math.inf),
+        lambda: UnitWeights("x"),
+        lambda: UnitWeights(1.0, None),
+        lambda: UnitWeights([1.0]),
     ],
 )
 def test_weight_validation(ctor):
     with pytest.raises(ValidationError):
         ctor()
+
+
+def test_non_numeric_unit_weights_name_the_field():
+    with pytest.raises(ValidationError, match=r"^w0_plus must be a real number, got 'x'$"):
+        UnitWeights("x")
+    with pytest.raises(ValidationError, match=r"^w0_minus must be a real number, got None$"):
+        UnitWeights(1.0, None)
+    assert UnitWeights("2", 3) == UnitWeights(2.0, 3.0)  # numbers and numeric strings are coerced as before
 
 
 def test_weights_json_forms():
