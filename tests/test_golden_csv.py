@@ -13,9 +13,14 @@ cover a Bernoulli run whose Dempster track reaches an exact Bayesian point,
 a faithful run that ends in a rounding cycle instead, and two runs with
 heavy unit weights: at (1, 1) a negative outcome is a total conflict, which
 one never meets within its steps and the other meets after four rows.
+The last three tests send the "faithful" case through `evcalc simulate`'s
+stdout, its --out file and a text-only stdout (an io.StringIO), and pin
+that Trajectory.to_csv returns text.
 """
 
+import contextlib
 import hashlib
+import io
 
 import pytest
 
@@ -124,3 +129,34 @@ def test_simulate_cli_matches_golden(capsys, argv, code, digest, err):
     captured = capsys.readouterr()
     assert _sha256(captured.out.encode()) == digest
     assert captured.err == err
+
+
+def _faithful_digest() -> str:
+    return dict((c[0], c[4]) for c in CASES)["faithful"]
+
+
+FAITHFUL_ARGV = ["simulate", "--mode", "faithful", "--q", "0.7", "--steps", "3000"]
+
+
+def test_simulate_stdout_and_out_file_match_the_faithful_golden_csv(capsys, tmp_path):
+    # the "faithful" case's spec, weights and record_every 1, through both outputs
+    assert main(FAITHFUL_ARGV) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == _faithful_digest()
+    target = tmp_path / "run.csv"
+    assert main(FAITHFUL_ARGV + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert _sha256(target.read_bytes()) == _faithful_digest()
+
+
+def test_simulate_writes_the_same_csv_to_a_text_stdout_without_a_buffer(capsys):
+    # an io.StringIO has no binary .buffer under it
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(FAITHFUL_ARGV) == 0
+    assert _sha256(out.getvalue().encode()) == _faithful_digest()
+    assert capsys.readouterr().err.startswith("final row: t=3000 ")
+
+
+def test_to_csv_returns_text():
+    csv = run_dual_track(StreamSpec(mode="frequency_faithful", steps=3000, q=0.7)).to_csv()
+    assert type(csv) is str
+    assert _sha256(csv.encode()) == _faithful_digest()
