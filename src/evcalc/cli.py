@@ -136,6 +136,8 @@ def _cmd_convert(args) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args) -> tuple[int, None]:
+    from types import SimpleNamespace
+
     from .convergence import StreamSpec, _dual_track_rows, _write_csv
     from .evidence_scale import UnitWeights, classify_limit
 
@@ -145,13 +147,18 @@ def _cmd_simulate(args) -> tuple[int, None]:
     rows = _dual_track_rows(spec, unit, args.record_every)
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "wb") as fh:
                 final = _write_csv(rows, fh)
         except OSError as exc:
             raise _UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         with _writing_stdout():
-            final = _write_csv(rows, sys.stdout)
+            sys.stdout.flush()  # the CSV bytes go after any text already written
+            # a text-only stdout (an io.StringIO) has no .buffer: decode each line onto it
+            out = getattr(sys.stdout, "buffer", None) or SimpleNamespace(
+                write=lambda line: sys.stdout.write(line.decode())
+            )
+            final = _write_csv(rows, out)
             sys.stdout.flush()  # the summary below is only for a CSV that was written
     t, t_plus, bel, pl, l, u, f = final
     f = "" if f is None else f"{f:.12g}"

@@ -14,8 +14,10 @@ CSV bytes.
 
 The fold streams: it yields one row at a time as a plain tuple, and
 `evcalc simulate` writes each CSV line as its row arrives, so the run's
-memory does not grow with the step count.  run_dual_track collects the same
-rows into a Trajectory.
+memory does not grow with the step count.  The lines are formatted as bytes
+and written to a binary stream, with no text encoding per line; the rows of
+the absorbed phase share one (bel, pl) pair, whose two cells are formatted
+once.  run_dual_track collects the same rows into a Trajectory.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from functools import reduce
 from itertools import chain, islice, repeat
 from operator import add
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
 from .dempster import _combine_pairs, combine_interval
@@ -129,22 +131,34 @@ class TrajectoryRow(NamedTuple):
 
 
 # one CSV line per row; a row without a frequency stops before its last cell
-_ROW_FORMAT = "%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
-_ROW_FORMAT_NO_FREQ = _ROW_FORMAT[: _ROW_FORMAT.rindex("%")] + "\n"
+_ROW_FORMAT = b"%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
+_ROW_FORMAT_NO_FREQ = _ROW_FORMAT[: _ROW_FORMAT.rindex(b"%")] + b"\n"
+# % (bel, pl) gives _ROW_FORMAT with the bel and pl cells filled in
+_CELL_FORMAT = b"%%d,%%d,%.12g,%.12g,%%.12g,%%.12g,%%.12g\n"
 
 
-def _write_csv(rows: Iterable[tuple], out: TextIO) -> tuple | None:
-    """Write the header and one line per row to out as the rows arrive.
+def _write_csv(rows: Iterable[tuple], out: BinaryIO) -> tuple | None:
+    """Write the header and one line per row to the binary stream out as the rows arrive.
 
     Rows are (t, t_plus, bel, pl, l, u, f) tuples or TrajectoryRows; an
-    undefined f (None) is left empty.  Returns the last row written, or None
-    if there was none.
+    undefined f (None) is left empty.  From its absorbed phase on, the fold
+    gives every row the same two float objects for bel and pl, so a row whose
+    bel and pl are the previous row's objects is written through a format
+    with their cells already filled in, built at the first such row.  Returns
+    the last row written, or None if there was none.
     """
     write = out.write
-    write(CSV_HEADER + "\n")
-    row = None
+    write(CSV_HEADER.encode() + b"\n")
+    row = bel = pl = cell = None
     for row in rows:
-        write(_ROW_FORMAT % row if row[6] is not None else _ROW_FORMAT_NO_FREQ % row[:6])
+        t, t_plus, b, p, l, u, f = row
+        if b is bel and p is pl and f is not None:
+            if cell is None:
+                cell = _CELL_FORMAT % (b, p)
+            write(cell % (t, t_plus, l, u, f))
+        else:
+            write(_ROW_FORMAT % row if f is not None else _ROW_FORMAT_NO_FREQ % row[:6])
+            bel, pl, cell = b, p, None
     return row
 
 
@@ -162,9 +176,9 @@ class Trajectory(_Value):
 
     def to_csv(self) -> str:
         """CSV with header t,t_plus,bel,pl,l,u,f; undefined f is left empty."""
-        buf = io.StringIO()
+        buf = io.BytesIO()
         _write_csv(self.rows, buf)
-        return buf.getvalue()
+        return buf.getvalue().decode()
 
 
 def run_dual_track(

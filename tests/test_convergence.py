@@ -1,5 +1,6 @@
 """Stream generation and the dual-track convergence runs."""
 
+import io
 import math
 import tracemalloc
 from itertools import accumulate, repeat
@@ -535,6 +536,40 @@ def test_streamed_csv_memory_does_not_grow_with_steps():
 
     # ten times the rows, the same peak: nothing is kept per row
     assert peak_bytes(20_000) < peak_bytes(2_000) + 4096
+
+
+@st.composite
+def _rows_repeating_pairs(draw):
+    """Rows whose bel and pl objects often repeat the previous row's; the
+    pool also holds, for each value, another object equal to it (0.0 and
+    -0.0 are equal too, but print differently)."""
+    values = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(), min_size=1, max_size=3))
+    pool = values + [float.fromhex(v.hex()) for v in values]
+    rows, pair = [], None
+    for t in range(draw(st.integers(0, 30))):
+        if pair is None or draw(st.booleans()):
+            pair = (draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+        l, u, f = draw(st.floats()), draw(st.floats()), draw(st.none() | st.floats())
+        rows.append((t, draw(st.integers(0, t)), *pair, l, u, f))
+    return rows
+
+
+def _csv_line(row) -> str:
+    t, t_plus, bel, pl, l, u, f = row
+    return "%d,%d,%.12g,%.12g,%.12g,%.12g," % (t, t_plus, bel, pl, l, u) + ("" if f is None else "%.12g" % f) + "\n"
+
+
+# the 0.0 and 1.0 literals are shared objects, as in a user-built Trajectory:
+# a repeated pair without a frequency, then an equal pair of other objects
+@example(rows=[(0, 0, 0.0, 1.0, 0.0, 1.0, None), (1, 1, 0.0, 1.0, 0.5, 1.0, None),
+               (2, 1, 0.0, 1.0, 0.3, 0.6, 0.5), (3, 1, -0.0, 1.0, 0.3, 0.6, 0.5)])
+@given(rows=_rows_repeating_pairs())
+def test_csv_lines_equal_the_rows_formatted_one_by_one(rows):
+    out = io.BytesIO()
+    assert _write_csv(rows, out) == (rows[-1] if rows else None)
+    expected = "t,t_plus,bel,pl,l,u,f\n" + "".join(map(_csv_line, rows))
+    assert out.getvalue() == expected.encode()
+    assert Trajectory(tuple(map(TrajectoryRow._make, rows))).to_csv() == expected
 
 
 def test_csv_round_trip_values():
