@@ -75,7 +75,9 @@ class EvidenceCounts(_Value):
     _fields = ("w_plus", "w_total")
 
     def __init__(self, w_plus: float, w_total: float):
-        wp, wt = _check_counts(float(w_plus), float(w_total))
+        wp, wt = float(w_plus), float(w_total)
+        if not 0.0 <= wp <= wt < math.inf:
+            wp, wt = _check_counts(wp, wt)
         fields = self.__dict__
         fields["w_plus"] = wp
         fields["w_total"] = wt
