@@ -9,7 +9,7 @@ an absorbed state: the normalization constant is undefined there.
 from __future__ import annotations
 
 from .binary_frame import BeliefInterval, MassAssignment
-from .errors import TotalConflictError, ValidationError
+from .errors import TotalConflictError, ValidationError, _real
 
 #: A combination whose normalization denominator falls below this is treated
 #: as total conflict.
@@ -60,6 +60,7 @@ def _mass_products(h1: float, n1: float, t1: float, h2: float, n2: float, t2: fl
 
 def bernoulli_combine(s1: float, s2: float) -> float:
     """Pool two same-direction simple supports: 1 - (1 - s1)(1 - s2)."""
+    s1, s2 = _real(s1, "s1"), _real(s2, "s2")
     for name, s in (("s1", s1), ("s2", s2)):
         if not 0.0 <= s <= 1.0:
             raise ValidationError(f"{name} must be in [0, 1], got {s!r}")

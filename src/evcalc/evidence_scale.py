@@ -110,6 +110,7 @@ def support_from_weight(w: float) -> float:
     Satisfies g(w1 + w2) = 1 - (1 - g(w1))(1 - g(w2)), which is what makes
     additive weights and Bernoulli's rule two views of the same operation.
     """
+    w = _real(w, "weight")
     if not math.isfinite(w) or w < 0.0:
         raise ValidationError(f"weight must be a finite nonnegative real, got {w!r}")
     return -math.expm1(-w)
@@ -187,6 +188,7 @@ def multiply_combine(b1: float, b2: float) -> float:
     coincides with the interval rule restricted to Bayesian inputs.  Note
     0.5 is its identity, so pooled evidence no longer accumulates.
     """
+    b1, b2 = _real(b1, "b1"), _real(b2, "b2")
     for name, b in (("b1", b1), ("b2", b2)):
         if not 0.0 < b < 1.0:
             raise ValidationError(f"{name} must lie strictly inside (0, 1), got {b!r}")
@@ -218,6 +220,7 @@ def classify_limit(q: float, unit: UnitWeights) -> float:
     The tie is only meaningful for exactly representable inputs; it is
     resolved with tolerance TIE_TOLERANCE.
     """
+    q = _real(q, "q")
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"q must be in [0, 1], got {q!r}")
     diff = unit.w0_plus * q - unit.w0_minus * (1.0 - q)
@@ -232,6 +235,7 @@ def delta_limit(delta: float) -> float:
     Evaluated on the side that never overflows, and written so that
     delta_limit(-d) == 1 - delta_limit(d) holds exactly in floating point.
     """
+    delta = _real(delta, "delta")
     if math.isnan(delta):
         raise ValidationError("delta must not be NaN")
     if delta >= 0.0:

@@ -93,7 +93,7 @@ def test_bernoulli_examples(s1, s2, expected):
     assert bernoulli_combine(s1, s2) == pytest.approx(expected, abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan"), "x", None])
 def test_bernoulli_domain(bad):
     with pytest.raises(ValidationError):
         bernoulli_combine(bad, 0.5)

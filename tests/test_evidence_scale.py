@@ -15,6 +15,7 @@ from evcalc import (
     ZeroEvidenceError,
     add_weights,
     belief_from_weights,
+    bernoulli_combine,
     classify_limit,
     combine_interval,
     delta_limit,
@@ -36,7 +37,7 @@ def test_support_examples():
     assert support_from_weight(math.log(2)) == pytest.approx(0.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", [-1.0, -1e-9, float("inf"), float("nan")])
+@pytest.mark.parametrize("bad", [-1.0, -1e-9, float("inf"), float("nan"), "x", None])
 def test_support_domain(bad):
     with pytest.raises(ValidationError):
         support_from_weight(bad)
@@ -171,7 +172,7 @@ def test_multiply_combine_half_is_identity(b):
     assert multiply_combine(0.5, b) == pytest.approx(b, abs=1e-15)
 
 
-@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3])
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.3, None, "x"])
 def test_multiply_combine_domain(bad):
     with pytest.raises(ValidationError):
         multiply_combine(bad, 0.5)
@@ -250,6 +251,8 @@ def test_classify_limit(q, w0p, w0m, expected):
 def test_classify_limit_domain():
     with pytest.raises(ValidationError):
         classify_limit(1.5, UnitWeights())
+    with pytest.raises(ValidationError):
+        classify_limit("x", UnitWeights())
 
 
 def test_delta_limit_examples():
@@ -272,6 +275,8 @@ def test_delta_limit_symmetry(d):
 def test_delta_limit_rejects_nan():
     with pytest.raises(ValidationError):
         delta_limit(float("nan"))
+    with pytest.raises(ValidationError):
+        delta_limit("x")
 
 
 # --- value type validation and JSON ---
@@ -304,6 +309,23 @@ def test_non_numeric_unit_weights_name_the_field():
     with pytest.raises(ValidationError, match=r"^w0_minus must be a real number, got None$"):
         UnitWeights(1.0, None)
     assert UnitWeights("2", 3) == UnitWeights(2.0, 3.0)  # numbers and numeric strings are coerced as before
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: classify_limit("x", UnitWeights()), "q must be a real number, got 'x'"),
+        (lambda: bernoulli_combine("x", 0.5), "s1 must be a real number, got 'x'"),
+        (lambda: bernoulli_combine(0.5, [0.5]), "s2 must be a real number, got [0.5]"),
+        (lambda: multiply_combine(None, 0.5), "b1 must be a real number, got None"),
+        (lambda: support_from_weight("x"), "weight must be a real number, got 'x'"),
+        (lambda: delta_limit("x"), "delta must be a real number, got 'x'"),
+    ],
+)
+def test_scalar_functions_name_an_argument_that_is_not_a_number(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_weights_json_forms():
