@@ -251,8 +251,6 @@ def test_classify_limit(q, w0p, w0m, expected):
 def test_classify_limit_domain():
     with pytest.raises(ValidationError):
         classify_limit(1.5, UnitWeights())
-    with pytest.raises(ValidationError):
-        classify_limit("x", UnitWeights())
 
 
 def test_delta_limit_examples():
@@ -275,8 +273,6 @@ def test_delta_limit_symmetry(d):
 def test_delta_limit_rejects_nan():
     with pytest.raises(ValidationError):
         delta_limit(float("nan"))
-    with pytest.raises(ValidationError):
-        delta_limit("x")
 
 
 # --- value type validation and JSON ---

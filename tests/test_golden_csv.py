@@ -131,32 +131,29 @@ def test_simulate_cli_matches_golden(capsys, argv, code, digest, err):
     assert captured.err == err
 
 
-def _faithful_digest() -> str:
-    return dict((c[0], c[4]) for c in CASES)["faithful"]
-
-
+FAITHFUL_DIGEST = dict((c[0], c[4]) for c in CASES)["faithful"]
 FAITHFUL_ARGV = ["simulate", "--mode", "faithful", "--q", "0.7", "--steps", "3000"]
 
 
 def test_simulate_stdout_and_out_file_match_the_faithful_golden_csv(capsys, tmp_path):
     # the "faithful" case's spec, weights and record_every 1, through both outputs
     assert main(FAITHFUL_ARGV) == 0
-    assert _sha256(capsys.readouterr().out.encode()) == _faithful_digest()
+    assert _sha256(capsys.readouterr().out.encode()) == FAITHFUL_DIGEST
     target = tmp_path / "run.csv"
     assert main(FAITHFUL_ARGV + ["--out", str(target)]) == 0
     assert capsys.readouterr().out == ""
-    assert _sha256(target.read_bytes()) == _faithful_digest()
+    assert _sha256(target.read_bytes()) == FAITHFUL_DIGEST
 
 
 def test_simulate_writes_the_same_csv_to_a_text_stdout_without_a_buffer(capsys):
     # an io.StringIO has no binary .buffer under it
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(FAITHFUL_ARGV) == 0
-    assert _sha256(out.getvalue().encode()) == _faithful_digest()
+    assert _sha256(out.getvalue().encode()) == FAITHFUL_DIGEST
     assert capsys.readouterr().err.startswith("final row: t=3000 ")
 
 
 def test_to_csv_returns_text():
     csv = run_dual_track(StreamSpec(mode="frequency_faithful", steps=3000, q=0.7)).to_csv()
     assert type(csv) is str
-    assert _sha256(csv.encode()) == _faithful_digest()
+    assert _sha256(csv.encode()) == FAITHFUL_DIGEST
