@@ -23,17 +23,17 @@ once.  run_dual_track collects the same rows into a Trajectory.
 from __future__ import annotations
 
 import io
-import math
 from functools import reduce
 from itertools import chain, islice, repeat
-from operator import add
+from math import floor
+from operator import add, gt
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
 from .dempster import _combine_pairs, combine_interval
 from .errors import TotalConflictError, ValidationError, _is_whole, _real, _Value
 from .evidence_scale import UnitWeights, classify_limit, delta_limit, support_from_weight
-from .rng import _LANES, _bernoulli_blocks, _bernoulli_outcomes, _check_seed
+from .rng import _LANES, _bernoulli_blocks, _check_seed
 
 MODES = ("bernoulli", "frequency_faithful", "delta_profile", "explicit")
 
@@ -57,7 +57,7 @@ class StreamSpec(_Value):
         if mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "explicit":
-            if not isinstance(outcomes, Iterable):  # None included
+            if not isinstance(outcomes, Iterable) or isinstance(outcomes, str):  # None included
                 raise ValidationError(f"explicit mode needs an outcomes sequence, got {outcomes!r}")
             outcomes = tuple(bool(o) for o in outcomes)
             if steps is not None and steps != len(outcomes):
@@ -86,38 +86,26 @@ class StreamSpec(_Value):
 
 def generate_stream(spec: StreamSpec) -> list[bool]:
     """Materialize the outcome sequence (True = supports the hypothesis)."""
-    return list(_outcomes(spec))
-
-
-def _outcomes(spec: StreamSpec) -> Iterator[bool]:
-    """The outcome sequence of spec, one outcome at a time."""
-    if spec.mode == "explicit":
-        return iter(spec.outcomes)
-    if spec.mode == "bernoulli":
-        return _bernoulli_outcomes(spec.seed, spec.q, spec.steps)
-    if spec.mode == "frequency_faithful":
-        return _faithful_outcomes(spec.q, spec.steps)
-    # delta_profile: delta leading negatives, then strict +/- alternation,
-    # so the negative-positive count difference is exactly delta at even steps
-    d = int(spec.delta)
-    return (False if t < d else (t - d) % 2 == 0 for t in range(spec.steps))
+    return list(map(bool, chain.from_iterable(_outcome_blocks(spec))))
 
 
 def _outcome_blocks(spec: StreamSpec) -> Iterator[bytes]:
     """spec's outcomes as 1 (positive) or 0 bytes, in blocks of _LANES (the last one shorter)."""
-    if spec.mode == "bernoulli":
-        return _bernoulli_blocks(spec.seed, spec.q, spec.steps)
-    outcomes = _outcomes(spec)
-    return iter(lambda: bytes(islice(outcomes, _LANES)), b"")
-
-
-def _faithful_outcomes(q: float, steps: int) -> Iterator[bool]:
-    # positive at step t iff floor(q*t) increments, keeping |t+ - q*t| < 1
-    prev = 0
-    for t in range(1, steps + 1):
-        cur = math.floor(q * t)
-        yield cur > prev
-        prev = cur
+    mode, n, q = spec.mode, spec.steps, spec.q
+    if mode == "bernoulli":
+        yield from _bernoulli_blocks(spec.seed, q, n)
+        return
+    for s in range(0, n, _LANES):  # the block of steps s+1 .. e
+        e = min(s + _LANES, n)
+        if mode == "explicit":
+            yield bytes(spec.outcomes[s:e])
+        elif mode == "frequency_faithful":  # positive at step t iff floor(q*t) increments: |t+ - q*t| < 1
+            f = [floor(q * t) for t in range(s, e + 1)]
+            yield bytes(map(gt, f[1:], f))  # gt, not sub: from about 2**29 steps on, floor(q*t) can step by 2
+        else:  # delta_profile: delta negatives, then +/- alternation, so at even steps
+            d = int(spec.delta)  # there are exactly delta more negatives than positives
+            a = min(max(d, s), e)  # the block's first alternating step
+            yield bytes(a - s) + (b"\x01\x00" * _LANES)[(a - d) % 2 :][: e - a]
 
 
 class TrajectoryRow(NamedTuple):

@@ -15,7 +15,6 @@ generator carries its packed lane states from one block to the next.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Iterator
 
 from .errors import ValidationError, _is_whole
@@ -56,11 +55,6 @@ def _check_seed(seed) -> int:
     if not _is_whole(seed) or not 0 <= seed < 2**64:
         raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
-
-
-def _bernoulli_outcomes(seed: int, q: float, n: int) -> Iterator[bool]:
-    """SplitMix64(seed).uniform() < q for n draws, yielded one at a time."""
-    return map((False, True).__getitem__, chain.from_iterable(_bernoulli_blocks(seed, q, n)))
 
 
 def _bernoulli_blocks(seed: int, q: float, n: int) -> Iterator[bytes]:

@@ -30,7 +30,7 @@ from evcalc import (
 )
 from evcalc import convergence
 from evcalc.convergence import _dual_track_rows, _repeated_sum, _write_csv
-from evcalc.rng import SplitMix64, _bernoulli_blocks, _bernoulli_outcomes
+from evcalc.rng import SplitMix64, _bernoulli_blocks
 
 UNIT = UnitWeights()
 
@@ -87,7 +87,11 @@ def _splitmix_outcomes(seed, q, n):
     return [rng.uniform() < q for _ in range(n)]
 
 
-# both block generator forms against the class: empty, partial, exact and
+def _bernoulli_stream(seed, q, n):
+    return generate_stream(StreamSpec(mode="bernoulli", steps=n, q=q, seed=seed))
+
+
+# generate_stream and the block generator against the class: empty, partial, exact and
 # several 1024-draw blocks, and thresholds T = ceil(q * 2**53) of 0, 1, 2, 2**53 - 1, 2**53;
 # ten blocks carry the packed lane states across many wraps of 2**64
 @pytest.mark.parametrize("seed", [0, 1, 2024, 2**63 + 12345, 2**64 - 1])
@@ -95,8 +99,8 @@ def _splitmix_outcomes(seed, q, n):
 def test_inlined_bernoulli_iterator_matches_splitmix64(seed, q):
     expected = _splitmix_outcomes(seed, q, 10 * 1024 + 3)
     for n in (0, 1, 500, 1023, 1024, 1025, 3 * 1024 + 7, 10 * 1024 + 3):
-        got = list(_bernoulli_outcomes(seed, q, n))
-        assert all(type(o) is bool for o in got)  # so generate_stream stays list[bool]
+        got = _bernoulli_stream(seed, q, n)
+        assert all(type(o) is bool for o in got)  # generate_stream stays list[bool]
         assert got == expected[:n]
         # the fold's form: bytes of 1 or 0, every block but the last 1024 long
         blocks = list(_bernoulli_blocks(seed, q, n))
@@ -138,17 +142,45 @@ def test_bernoulli_iterator_at_the_threshold(j, z_offset):
     seed = _seed_with_draw(j, (math.ceil(q * 2.0**53) << 11) + z_offset)
     expected = _splitmix_outcomes(seed, q, j + 3)
     assert expected[j] is (z_offset < 0)
-    assert list(_bernoulli_outcomes(seed, q, j + 3)) == expected
+    assert _bernoulli_stream(seed, q, j + 3) == expected
 
 
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.floats(min_value=0.0, max_value=1.0))
 def test_bernoulli_iterator_matches_splitmix64_anywhere(seed, q):
-    assert list(_bernoulli_outcomes(seed, q, 1030)) == _splitmix_outcomes(seed, q, 1030)
+    assert _bernoulli_stream(seed, q, 1030) == _splitmix_outcomes(seed, q, 1030)
 
 
 def test_bernoulli_stream_rate_sanity():
     outcomes = generate_stream(StreamSpec(mode="bernoulli", steps=10_000, q=0.3, seed=7))
     assert abs(sum(outcomes) / 10_000 - 0.3) < 0.02
+
+
+# the modes that build their own blocks, against per-step definitions
+@pytest.mark.parametrize("steps", [0, 1, 1023, 1024, 1025, 2048, 3 * 1024 + 7])
+def test_outcome_blocks_match_the_per_step_definitions(steps):
+    explicit = [t % 3 == 0 or t % 7 == 0 for t in range(steps)]
+    cases = [(StreamSpec(mode="explicit", outcomes=explicit), explicit)]
+    for q in (0.0, 0.3, 0.62, 0.7, 0.9999999999999999, 1.0):
+        faithful = [math.floor(q * t) > math.floor(q * (t - 1)) for t in range(1, steps + 1)]
+        cases.append((StreamSpec(mode="frequency_faithful", steps=steps, q=q), faithful))
+    for d in (0, 1, 2, 1023, 1024, 1025, 2000, 10**6):
+        delta = [t >= d and (t - d) % 2 == 0 for t in range(steps)]
+        cases.append((StreamSpec(mode="delta_profile", steps=steps, delta=d), delta))
+    for spec, expected in cases:
+        blocks = list(convergence._outcome_blocks(spec))
+        assert all(type(block) is bytes for block in blocks)
+        assert [len(block) for block in blocks] == [1024] * (steps // 1024) + [steps % 1024] * (steps % 1024 > 0)
+        assert b"".join(blocks) == bytes(expected)
+        stream = generate_stream(spec)
+        assert type(stream) is list and all(type(o) is bool for o in stream)
+        assert stream == expected
+
+
+@pytest.mark.parametrize("mode, arg", [("frequency_faithful", {"q": 0.7}), ("delta_profile", {"delta": 10**12})])
+def test_outcome_blocks_are_built_one_at_a_time(mode, arg):
+    # a step count no memory could hold: only the first block is built
+    block = next(convergence._outcome_blocks(StreamSpec(mode=mode, steps=10**15, **arg)))
+    assert len(block) == 1024
 
 
 @pytest.mark.parametrize(
@@ -191,6 +223,8 @@ def test_stream_spec_validation(kwargs):
         ({"mode": "delta_profile", "steps": 5, "delta": "x"}, "delta must be a real number, got 'x'"),
         ({"mode": "explicit", "outcomes": 5}, "explicit mode needs an outcomes sequence, got 5"),
         ({"mode": "explicit"}, "explicit mode needs an outcomes sequence, got None"),
+        # a string is iterable, but each of its characters would be a positive outcome
+        ({"mode": "explicit", "outcomes": "0101"}, "explicit mode needs an outcomes sequence, got '0101'"),
     ],
 )
 def test_stream_spec_names_a_field_that_is_not_a_number(kwargs, message):
@@ -503,6 +537,20 @@ def test_repeated_sum_takes_the_closed_form_only_within_its_bound(w0):
     for count in (exact, exact + 1, exact + 300, exact + 600):
         for done in (0, count // 2, count - 1):
             assert _repeated_sum(w0, count, done, sums[done]) == sums[count]
+
+
+# the state cycles through three pairs a few ulps from (1, 1), each printed 1,1
+_ULP_CYCLE = {(0.9999999999999994, 0.9999999999999996), (0.9999999999999998, 0.9999999999999999), (0.9999999999999998, 1.0)}
+
+
+@pytest.mark.parametrize("q", [0.6, 0.62, 0.65])
+def test_faithful_run_below_two_thirds_cycles_and_never_absorbs(q):
+    rows = list(_dual_track_rows(StreamSpec(mode="frequency_faithful", steps=20_000, q=q), UNIT))
+    assert {(row[2], row[3]) for row in rows[190:]} == _ULP_CYCLE
+    assert {(row[2], row[3]) for row in rows[-100:]} == _ULP_CYCLE  # still cycling at the end
+    out = io.BytesIO()
+    _write_csv(rows[190:], out)
+    assert {tuple(line.split(b",")[2:4]) for line in out.getvalue().splitlines()[1:]} == {(b"1", b"1")}
 
 
 # --- CSV ---
