@@ -57,7 +57,8 @@ class StreamSpec(_Value):
         if mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
         if mode == "explicit":
-            if not isinstance(outcomes, Iterable) or isinstance(outcomes, str):  # None included
+            # None is not Iterable; a str is, but every character of it would be a positive
+            if not isinstance(outcomes, Iterable) or isinstance(outcomes, str):
                 raise ValidationError(f"explicit mode needs an outcomes sequence, got {outcomes!r}")
             outcomes = tuple(bool(o) for o in outcomes)
             if steps is not None and steps != len(outcomes):
