@@ -172,7 +172,8 @@ def _cmd_simulate(args) -> tuple[int, None]:
 
 def _final_row(rows) -> tuple:
     """The last of the fold's (t, t_plus, bel, pl, l, u, f) rows; the rows
-    before it are dropped as they come."""
+    before it are dropped as they come.  A row is a closed form of its
+    counts, so the demos ask for the start and final rows only."""
     for row in rows:
         pass
     return row
@@ -184,7 +185,7 @@ def _cmd_defect_demo(args) -> tuple[int, dict]:
 
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     spec = StreamSpec(mode="frequency_faithful", steps=args.steps, q=args.q)
-    _, _, bel, pl, l, u, f = _final_row(_dual_track_rows(spec, unit))
+    _, _, bel, pl, l, u, f = _final_row(_dual_track_rows(spec, unit, max(spec.steps, 1)))
     return EXIT_OK, {
         "q": args.q,
         "steps": args.steps,
@@ -206,7 +207,7 @@ def _cmd_delta_demo(args) -> tuple[int, dict]:
     spec = StreamSpec(mode="delta_profile", steps=args.steps, delta=args.delta)  # checks delta
     if args.steps < spec.delta:
         raise _UsageError("steps must be at least delta")
-    bel = _final_row(_dual_track_rows(spec, UnitWeights()))[2]
+    bel = _final_row(_dual_track_rows(spec, UnitWeights(), max(spec.steps, 1)))[2]
     analytic = delta_limit(spec.delta)
     return EXIT_OK, {
         "delta": int(spec.delta),

@@ -1,38 +1,37 @@
 """Convergence laboratory: both calculi run in lockstep along a stream.
 
-Each outcome is folded two ways from the same unit weights: a Dempster
-track that combines one simple support per outcome into a running (bel, pl)
-state, and a lower/upper frequency track over the accumulated weights.
-Side by side they show the two calculi's divergent limits: the Dempster
-track heads for 0, 0.5 or 1 by the sign of w0+*q - w0-*(1-q), mostly
-reaching an exact Bayesian point that absorbs all later outcomes, while the
-frequency track closes in on q.  From there the fold walks a block of the
-stream only from its first recorded row to its last and counts the outcomes on
-either side; each weight sum takes the closed form k * w0 only where that is
-provably the sum of k additions, and makes the additions otherwise: the same
-CSV bytes.
+Each outcome carries a unit weight, w0+ for a positive and w0- for a
+negative one, and both tracks are read off the accumulated weights.  The
+Dempster track is belief_from_weights at (t_plus * w0+, t_minus * w0-):
+combining simple supports by Dempster's rule is the same as adding their
+weights (Shafer 1976, ch. 5), so each row is that closed form of its two
+counts rather than the end of an iterated float fold.  The frequency track
+is the lower/upper interval and w+ / w of the same two weights.  Side by
+side they show the two calculi's divergent limits: the Dempster track heads
+for 0, 0.5 or 1 by the sign of w0+*q - w0-*(1-q), while the frequency track
+closes in on q.  The fold keeps only the two counts, taken a block of the
+stream at a time.
 
 The fold streams: it yields one row at a time as a plain tuple, and
 `evcalc simulate` writes each CSV line as its row arrives, so the run's
 memory does not grow with the step count.  The lines are formatted as bytes
-and written to a binary stream, with no text encoding per line; the rows of
-the absorbed phase share one (bel, pl) pair, whose two cells are formatted
-once.  run_dual_track collects the same rows into a Trajectory.
+and written to a binary stream, with no text encoding per line; the rows
+whose Dempster pair is saturated at (1, 1) share one (bel, pl) pair, whose
+two cells are formatted once.  run_dual_track collects the same rows into a
+Trajectory.
 """
 
 from __future__ import annotations
 
 import io
-from functools import reduce
-from itertools import chain, islice, repeat
-from math import floor
-from operator import add, gt
+from itertools import accumulate, chain, islice
+from math import floor, log
+from operator import gt
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
-from .binary_frame import SUM_TOLERANCE, BeliefInterval, _unit_pair
-from .dempster import _combine_pairs, combine_interval
-from .errors import TotalConflictError, ValidationError, _is_whole, _real, _Value
-from .evidence_scale import UnitWeights, classify_limit, delta_limit, support_from_weight
+from .binary_frame import SUM_TOLERANCE, _unit_pair
+from .errors import ValidationError, _is_whole, _real, _Value
+from .evidence_scale import UnitWeights, _belief_parts, classify_limit, delta_limit, support_from_weight
 from .rng import _LANES, _bernoulli_blocks, _check_seed
 
 MODES = ("bernoulli", "frequency_faithful", "delta_profile", "explicit")
@@ -60,7 +59,11 @@ class StreamSpec(_Value):
             # None is not Iterable; a str is, but every character of it would be a positive
             if not isinstance(outcomes, Iterable) or isinstance(outcomes, str):
                 raise ValidationError(f"explicit mode needs an outcomes sequence, got {outcomes!r}")
-            outcomes = tuple(bool(o) for o in outcomes)
+            outcomes = tuple(outcomes)
+            for o in outcomes:  # bool(o) would make a positive of "0" or of the byte b"0"[0]
+                if type(o) not in (bool, int) or o not in (0, 1):
+                    raise ValidationError(f"explicit outcomes must be booleans or the ints 0 and 1, got {o!r}")
+            outcomes = tuple(map(bool, outcomes))
             if steps is not None and steps != len(outcomes):
                 raise ValidationError(f"steps={steps} does not match {len(outcomes)} explicit outcomes")
             steps = len(outcomes)
@@ -130,11 +133,11 @@ def _write_csv(rows: Iterable[tuple], out: BinaryIO) -> tuple | None:
     """Write the header and one line per row to the binary stream out as the rows arrive.
 
     Rows are (t, t_plus, bel, pl, l, u, f) tuples or TrajectoryRows; an
-    undefined f (None) is left empty.  From its absorbed phase on, the fold
-    gives every row the same two float objects for bel and pl, so a row whose
-    bel and pl are the previous row's objects is written through a format
-    with their cells already filled in, built at the first such row.  Returns
-    the last row written, or None if there was none.
+    undefined f (None) is left empty.  While its Dempster pair is saturated
+    at (1, 1), the fold gives every row the same float object for bel and pl,
+    so a row whose bel and pl are the previous row's objects is written
+    through a format with their cells already filled in, built at the first
+    such row.  Returns the last row written, or None if there was none.
     """
     write = out.write
     write(CSV_HEADER.encode() + b"\n")
@@ -181,7 +184,9 @@ def run_dual_track(
     hypothesis, a negative one a simple support of weight w0- against it;
     the frequency track accumulates the same weights as counts.  The start
     row and the final row are always recorded.  Each unit weight must stay
-    below 54 ln 2 (about 37.43), where its support would round to 1.
+    below 54 ln 2 (about 37.43): from there on its support rounds to 1, and
+    iterating Dempster's rule over such supports no longer equals adding
+    their weights, which is what each row computes.
     """
     return Trajectory(tuple(map(TrajectoryRow._make, _dual_track_rows(spec, unit, record_every))))
 
@@ -198,88 +203,46 @@ def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1)
     return _fold(spec, unit, record_every)
 
 
+#: Above this gap wp - wm (the float is a little above 54 ln 2), e^-(wp - wm)
+#: and e^-wp are below 2**-54, less than half the float spacing on either
+#: side of 1, so in _belief_parts the denominator, bel and bel + width all
+#: round to 1: the pair is (1.0, 1.0) exactly.
+_SATURATION_GAP = 54 * log(2)
+
+
 def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tuple]:
-    # Each step is combine_interval against a fixed support plus the repair
-    # BeliefInterval applies, on plain floats; _unit_pair is called only for
-    # a pair outside 0 <= bel <= pl <= 1 (a call costs a third of a step).
-    # A row is interval_from_counts of the accumulated weights (no repair:
-    # 0 <= w_plus <= w, rounding is monotone) and w_plus / w, with w > 0
-    # after row 0.  The Dempster state (never -0.0 or nan, so == is bit
-    # equality) mostly reaches a point both supports fix, like (1, 1): a step
-    # that leaves it as it was probes the other support (a failed probe at t
-    # defers to 2t), and if that does too, the second loop only counts: in each
-    # block the outcomes before its first row and after its last (a block
-    # without a row whole), walking only those between.  w_plus only adds w0+,
-    # so its sum depends on the count alone, and _repeated_sum gives it exactly.
-    pos = BeliefInterval(support_from_weight(unit.w0_plus), 1.0)
-    neg = BeliefInterval(0.0, 1.0 - support_from_weight(unit.w0_minus))
-    pos_bel, pos_pl, neg_bel, neg_pl = pos.bel, pos.pl, neg.bel, neg.pl
+    # Each row is (t, t_plus, bel, pl, l, u, f) of the weights wp = t_plus * w0+
+    # and wm = t_minus * w0-, one rounding each: (bel, pl) as
+    # belief_from_weights gives it, with BeliefInterval's repair on plain
+    # floats, and l, u, f as interval_from_counts and w+ / w (w > 0 after
+    # row 0; no repair: 0 <= wp <= w, rounding is monotone).  A saturated
+    # pair is the literal 1.0 twice, the same float object on every row, so
+    # _write_csv formats its cells once.  In each block the counts at its
+    # rows are read off a running sum, which is lazy: nothing is kept per row.
     w0_plus, w0_minus = unit.w0_plus, unit.w0_minus
     total_steps = spec.steps
-    bel, pl = 0.0, 1.0
-    w_plus = w_minus = 0.0
-    t = t_plus = probe_at = 0
-    blocks = _outcome_blocks(spec)
-    outcomes = chain.from_iterable(blocks)
+    t = t_plus = 0  # the counts at the end of the blocks so far
     yield (0, 0, 0.0, 1.0, 0.0, 1.0, None)
-    for positive in outcomes:
-        t += 1
-        if positive:
-            b, p = _combine_pairs(bel, pl, pos_bel, pos_pl)
-            w_plus += w0_plus
-            t_plus += 1
-        else:
-            b, p = _combine_pairs(bel, pl, neg_bel, neg_pl)
-            w_minus += w0_minus
-        if not 0.0 <= b <= p <= 1.0:
-            b, p = _unit_pair(b, p, "bel", "pl", SUM_TOLERANCE)
-        if t % record_every == 0 or t == total_steps:
-            w = w_plus + w_minus  # below t * 37.43 (the unit weights' bound): finite for 4.8e306 steps
-            scale = w + 1.0
-            yield t, t_plus, b, p, w_plus / scale, (w_plus + 1.0) / scale, w_plus / w
-        if b == bel and p == pl and t >= probe_at:
-            probe_at = 2 * t
-            try:  # a step that would raise here raises when its outcome arrives
-                if combine_interval(BeliefInterval(b, p), neg if positive else pos) == BeliefInterval(b, p):
-                    break
-            except (TotalConflictError, ValidationError):
-                pass
-        bel, pl = b, p
-    done_plus, done_minus = t_plus, t - t_plus  # the counts w_plus and w_minus sum
-    for block in chain((bytes(islice(outcomes, -t % _LANES)),), blocks):  # this block's rest first
-        end = t + len(block)
-        last = end if end == total_steps else end - end % record_every  # its last row, if after t
-        if last <= t:  # it has none
-            t, t_plus = end, t_plus + block.count(1)
-            continue
-        # count up to the first row, walk to the last, then count the rest
-        first, stop = min(record_every - 1 - t % record_every, last - t - 1), last - t
-        t, t_plus = t + first, t_plus + block.count(1, 0, first)
-        w_plus = _repeated_sum(w0_plus, t_plus, done_plus, w_plus)
-        w_minus = _repeated_sum(w0_minus, t - t_plus, done_minus, w_minus)
-        for positive in block[first:stop]:
-            t += 1
-            if positive:
-                w_plus += w0_plus
-                t_plus += 1
+    for block in _outcome_blocks(spec):
+        first = t + record_every - t % record_every  # the block's first recorded step, if it has one
+        rows = zip(range(first, t + len(block) + 1, record_every),
+                   islice(accumulate(block, initial=t_plus), first - t, None, record_every))
+        t, t_plus = t + len(block), t_plus + block.count(1)
+        if t == total_steps and t % record_every:  # the final row, off the grid
+            rows = chain(rows, ((t, t_plus),))
+        for n, n_plus in rows:
+            wp = n_plus * w0_plus
+            wm = (n - n_plus) * w0_minus
+            if wp - wm > _SATURATION_GAP:
+                bel = pl = 1.0
             else:
-                w_minus += w0_minus
-            if t % record_every == 0 or t == total_steps:
-                w = w_plus + w_minus
-                scale = w + 1.0
-                yield t, t_plus, bel, pl, w_plus / scale, (w_plus + 1.0) / scale, w_plus / w
-        done_plus, done_minus = t_plus, t - t_plus
-        t, t_plus = end, t_plus + block.count(1, stop)
-
-
-def _repeated_sum(w0: float, count: int, done: int, w: float) -> float:
-    """count copies of w0 added one at a time from 0.0, given w, the sum of the first done.
-
-    While count * num <= 2**53 for the numerator num of w0.as_integer_ratio(),
-    every partial sum is an integer of at most 2**53 times w0's power-of-two
-    denominator, so no addition rounds and count * w0 is that sum bit for bit;
-    past that bound, reduce makes the remaining additions in order."""
-    return count * w0 if count * w0.as_integer_ratio()[0] <= 2**53 else reduce(add, repeat(w0, count - done), w)
+                bel, _, width = _belief_parts(wp, wm)
+                pl = bel + width
+                if not 0.0 <= bel <= pl <= 1.0:
+                    bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
+            w = wp + wm  # below n * 37.43 (the unit weights' bound): finite for 4.8e306 steps
+            scale = w + 1.0
+            yield n, n_plus, bel, pl, wp / scale, (wp + 1.0) / scale, wp / w
 
 
 class LimitReport(_Value):

@@ -34,23 +34,17 @@ def combine_interval(x1: BeliefInterval, x2: BeliefInterval) -> BeliefInterval:
     Agrees with combine_mass through the mass/interval bijection; the vacuous
     interval (0, 1) is a two-sided identity.
     """
-    return BeliefInterval(*_combine_pairs(x1.bel, x1.pl, x2.bel, x2.pl))
-
-
-def _combine_pairs(bel1: float, pl1: float, bel2: float, pl2: float) -> tuple[float, float]:
-    """combine_interval on raw floats, returning the (bel, pl) that
-    BeliefInterval has yet to validate.  The convergence fold calls it once
-    per step."""
+    bel1, pl1, bel2, pl2 = x1.bel, x1.pl, x2.bel, x2.pl
     conflict = bel1 * (1.0 - pl2) + bel2 * (1.0 - pl1)
     if 1.0 - conflict < CONFLICT_TOLERANCE:
-        raise TotalConflictError(BeliefInterval(bel1, pl1), BeliefInterval(bel2, pl2))
+        raise TotalConflictError(x1, x2)
     if conflict <= 0.5:
         denom = 1.0 - conflict
-        return (bel1 * pl2 + bel2 * pl1 - bel1 * bel2) / denom, (pl1 * pl2) / denom
+        return BeliefInterval((bel1 * pl2 + bel2 * pl1 - bel1 * bel2) / denom, (pl1 * pl2) / denom)
     # high-conflict regime: normalize by the part sum, as in combine_mass
     h, nh, th = _mass_products(bel1, 1.0 - pl1, pl1 - bel1, bel2, 1.0 - pl2, pl2 - bel2)
     denom = h + nh + th
-    return h / denom, (h + th) / denom
+    return BeliefInterval(h / denom, (h + th) / denom)
 
 
 def _mass_products(h1: float, n1: float, t1: float, h2: float, n2: float, t2: float) -> tuple[float, float, float]:

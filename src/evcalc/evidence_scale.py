@@ -137,13 +137,18 @@ def belief_from_weights(w: EvidenceWeights) -> BeliefInterval:
 
 def _belief(wp: float, wm: float) -> BeliefInterval:
     """belief_from_weights of finite weights (wp, wm) that have passed the weights check."""
-    biggest = max(wp, wm)
-    scaled_p = math.exp(wp - biggest)
-    scaled_m = math.exp(wm - biggest)
-    denom = scaled_p + scaled_m - math.exp(-biggest)
-    bel = scaled_p * -math.expm1(-wp) / denom
-    m_not_h = scaled_m * -math.expm1(-wm) / denom
-    return BeliefInterval._carrying(bel, m_not_h, math.exp(-biggest) / denom)
+    return BeliefInterval._carrying(*_belief_parts(wp, wm))
+
+
+def _belief_parts(wp: float, wm: float) -> tuple[float, float, float]:
+    """(bel, 1 - pl, pl - bel) of finite weights (wp, wm), on floats and unrepaired."""
+    if wp > wm:  # scaled by e^-biggest, the bigger exponential is e^0 = 1 exactly
+        biggest, scaled_p, scaled_m = wp, 1.0, math.exp(wm - wp)
+    else:
+        biggest, scaled_p, scaled_m = wm, math.exp(wp - wm), 1.0
+    scaled_one = math.exp(-biggest)
+    denom = scaled_p + scaled_m - scaled_one
+    return scaled_p * -math.expm1(-wp) / denom, scaled_m * -math.expm1(-wm) / denom, scaled_one / denom
 
 
 def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:

@@ -355,10 +355,9 @@ def test_import_loads_no_dataclass_machinery():
         (["combine", "--rule", "lu", '{"kind": "point", "value": 0.5}', '{"kind": "interval", "l": 0, "u": 1}'],
          "binary_frame cli errors evidence_scale lower_upper"),
         (["simulate", "--q", "0.7", "--steps", "20", "--mode", "bernoulli"],
-         "binary_frame cli convergence dempster errors evidence_scale rng"),
-        (["defect-demo", "--steps", "20"], "binary_frame cli convergence dempster errors evidence_scale rng"),
-        (["delta-demo", "--delta", "2", "--steps", "20"],
-         "binary_frame cli convergence dempster errors evidence_scale rng"),
+         "binary_frame cli convergence errors evidence_scale rng"),
+        (["defect-demo", "--steps", "20"], "binary_frame cli convergence errors evidence_scale rng"),
+        (["delta-demo", "--delta", "2", "--steps", "20"], "binary_frame cli convergence errors evidence_scale rng"),
     ],
     ids=["import", "convert", "combine-dempster", "combine-lu", "simulate", "defect-demo", "delta-demo"],
 )

@@ -1,18 +1,23 @@
 """Golden CSV hashes: the dual-track CSV is pinned byte for byte.
 
 The sha256 values were taken from the object-per-step fold that built every
-row as a dataclass and joined the CSV into one string.  Any later fold or
-writer must reproduce them exactly; a changed digit anywhere fails here.
-The three long sparse cases were taken from the fold that walked every
-outcome of its absorbed phase one at a time, and the two after them from
-the fold that counted each absorbed block without a row whole.
+row as a dataclass and joined the CSV into one string, and the long sparse
+cases from later folds that walked or counted the outcomes of the absorbed
+phase.  Those folds iterated Dempster's rule in floats.  Since each row is
+the closed form of its two counts, the cases marked REPINNED hold the hashes
+of the closed-form rows: their digits moved by a few ulps onto the exact
+values, which test_repinned_rows_are_near_a_200_bit_reference checks for
+every row.  The other cases' bytes did not move.  Any later fold or writer
+must reproduce them all exactly; a changed digit anywhere fails here.
 
 SIMULATE_CASES pin whole `evcalc simulate` calls (exit code, sha256 of
-stdout, exact stderr), taken from the fold that combined every step.  They
-cover a Bernoulli run whose Dempster track reaches an exact Bayesian point,
-a faithful run that ends in a rounding cycle instead, and two runs with
-heavy unit weights: at (1, 1) a negative outcome is a total conflict, which
-one never meets within its steps and the other meets after four rows.
+stdout, exact stderr).  They cover a Bernoulli run whose Dempster track
+saturates at (1, 1), a faithful run at q below 2/3 (where chains of
+combine_interval cycle a few ulps from (1, 1) instead), and two runs with
+heavy unit weights.  The iterated fold met a total conflict in the last of
+these after four rows; the closed form of finite weights never does, so it
+now runs to its end.  The first two and the stderr of the third were taken
+from the iterated fold and still hold.
 The last three tests send the "faithful" case through `evcalc simulate`'s
 stdout, its --out file and a text-only stdout (an io.StringIO), and pin
 that Trajectory.to_csv returns text.
@@ -21,6 +26,7 @@ that Trajectory.to_csv returns text.
 import contextlib
 import hashlib
 import io
+import sys
 
 import pytest
 
@@ -32,7 +38,7 @@ EXPLICIT = (True, False, False, True, True, True, False, True, False, False) * 3
 # (id, StreamSpec kwargs, (w0+, w0-), record_every, sha256 of the CSV)
 CASES = [
     ("bernoulli", dict(mode="bernoulli", steps=3000, q=0.4, seed=11), (1.0, 1.0), 1,
-     "1b8b193cad91c6be5ae563a381caddc7232c42a02753daed60340ab18bbbfa99"),
+     "6c6c12b3d2af179db875d57664ee4736926b90787af0ef2f3c1c551c4711591a"),
     ("faithful", dict(mode="frequency_faithful", steps=3000, q=0.7), (1.0, 1.0), 1,
      "da4d8879ecbff2a56efbf510556d60d7ef13c665f14fcde6fd7ace1e77da7cd3"),
     ("delta_profile", dict(mode="delta_profile", steps=3000, delta=3), (1.0, 1.0), 1,
@@ -40,33 +46,36 @@ CASES = [
     ("explicit", dict(mode="explicit", outcomes=EXPLICIT), (1.0, 1.0), 1,
      "5aa61c343d25591c42fdaf9e9a8736f4bc0847783348e6855ac96d8dead316ff"),
     ("asymmetric_bernoulli", dict(mode="bernoulli", steps=3000, q=0.85, seed=2**64 - 1), (0.3, 2.5), 1,
-     "08183558bc835d27f327bc531cd531492a3ac0e4efc63304b59b3ac6df71f575"),
+     "c3fb40276a2021c66ff043bef453c6753d3ad024ec10353733aef68aca67ae7f"),
     ("asymmetric_faithful", dict(mode="frequency_faithful", steps=3000, q=0.2), (0.3, 2.5), 1,
-     "8d239a7468adbfe179bb8767ef54aaa56087fa0246b5dea7acead30d165feca0"),
-    # 1500 of the 3000 steps take combine_interval's conflict > 0.5 branch
+     "820b7ac63663b5157077d93950ba6b2e3a789e43edc561f47fe7c0d75b2c68cd"),
+    # heavy unit weights: under the iterated rule, 1500 of the 3000 steps took
+    # combine_interval's conflict > 0.5 branch
     ("high_conflict", dict(mode="frequency_faithful", steps=3000, q=0.5), (3.0, 3.0), 1,
      "1cc16ede2a94f6c525c6406c11d91ab6b55a48bbf8c7c8de3ae98080577210ba"),
     # 3001 is not a multiple of 7, so the final row is recorded off the grid
     ("record_every", dict(mode="bernoulli", steps=3001, q=0.6, seed=7), (1.0, 1.0), 7,
-     "5f431d7eb80a4d0a9f83dfef39251fade2590de6582efdc684db42802bb23e9b"),
+     "49171e3996d228687f306ea882ff6e300aa47b39258af346a39e23e7579e5bc2"),
     ("zero_steps", dict(mode="frequency_faithful", steps=0, q=0.7), (1.0, 1.0), 1,
      "e2ccde4f685803c2f74ba39e3d227bfd4c9de53f45efd88fabefc6f08c733c9c"),
-    # the shape of the sparse benchmark: absorbed early, a row per 10k steps
+    # the shape of the sparse benchmark: saturated early, a row per 10k steps
     ("sparse", dict(mode="bernoulli", steps=300_000, q=0.65), (1.0, 1.0), 10_000,
      "8927cdfd45b3ef580b49795d64123a5520bc5b093882e7eab2ac2759f5a589c7"),
-    # 0.1 is not dyadic: k * 0.1 differs from k repeated additions of 0.1
+    # 0.1 is not dyadic: the rows' k * 0.1 differs from the k repeated additions
+    # of 0.1 that the iterated fold made
     ("sparse_tenths", dict(mode="bernoulli", steps=200_000, q=0.7), (0.1, 0.1), 1000,
-     "b0bcc1d2096429e6b2f86de434ffec5144129e05a692a87434019241b9f4dfc5"),
+     "215e28c5d4fd18f9b87f2bdc97f3989e989dc573262903e2e5d634db19ab5f05"),
     # rows straddle the 1024-outcome blocks; the final row falls off the grid
     ("sparse_asymmetric", dict(mode="bernoulli", steps=100_001, q=0.95), (0.3, 2.5), 1025,
-     "be3b959882413ddddbabb6ee3735209d1343b39f4b24cb817f83edfa1022cefa"),
-    # dyadic weights: k * w0 equals k repeated additions of w0 for every count here
+     "34b824628932825a9266c8ef04b330d006447c466a8db06a53046a2722f89246"),
+    # dyadic weights: k * w0 equals k repeated additions of w0 for every count
+    # here, so these rows did not move
     ("sparse_dyadic", dict(mode="bernoulli", steps=200_000, q=0.6, seed=3), (0.5, 0.25), 4096,
      "be2eebcfa17c0a9ccff3ecce900069519767d113d04915b78e093c4fb34465ad"),
     # 1 + 2**-40 has numerator 2**40 + 1, so c * w0 is provably the sum of c copies
     # only for c <= 8191; the run's 32373 positives pass that count partway
     ("sparse_horizon", dict(mode="bernoulli", steps=50_000, q=0.65, seed=4), (1 + 2**-40, 1.0), 3000,
-     "405bf375bb6dbccfaedb53ee8fe4117cebd4d13b74732135d3f4ae8123e3f158"),
+     "b3a3e65d951c1c4c1aea72ac73df70c36be70a8ec5a1859ce37cb59301e78fff"),
 ]
 
 
@@ -78,6 +87,33 @@ def _sha256(data: bytes) -> str:
 def test_csv_matches_golden_hash(kwargs, weights, record_every, digest):
     traj = run_dual_track(StreamSpec(**kwargs), UnitWeights(*weights), record_every)
     assert _sha256(traj.to_csv().encode()) == digest
+
+
+# the cases whose hashes moved when the rows became closed forms of their
+# counts, each checked below against a 200-bit evaluation
+REPINNED = ["bernoulli", "asymmetric_bernoulli", "asymmetric_faithful", "record_every",
+            "sparse_tenths", "sparse_asymmetric", "sparse_horizon"]
+# relative error bounds: e^(wp - wm) magnifies the rounding of the weights by
+# up to |wp - wm| (about 360 in asymmetric_bernoulli), so bel and pl get more
+# room than l, u and f, which are a few roundings of wp and w; a value that
+# underflows is off by less than the smallest normal float instead
+BEL_PL_REL, LU_F_REL = 1e-13, 2.0**-51
+
+
+@pytest.mark.parametrize("kwargs,weights,record_every", [c[1:4] for c in CASES if c[0] in REPINNED],
+                         ids=[c[0] for c in CASES if c[0] in REPINNED])
+def test_repinned_rows_are_near_a_200_bit_reference(kwargs, weights, record_every):
+    mpmath = pytest.importorskip("mpmath")
+    ctx = mpmath.mp.clone()
+    ctx.prec = 200
+    w0_plus, w0_minus = map(ctx.mpf, weights)
+    rows = run_dual_track(StreamSpec(**kwargs), UnitWeights(*weights), record_every).rows
+    for row in rows[1:]:
+        wp, wm = row.t_plus * w0_plus, (row.t - row.t_plus) * w0_minus  # exact at 200 bits
+        w, denom = wp + wm, ctx.exp(wp) + ctx.exp(wm) - 1
+        want = (ctx.expm1(wp) / denom, ctx.exp(wp) / denom, wp / (w + 1), (wp + 1) / (w + 1), wp / w)
+        for got, exact, rel in zip(row[2:], want, (BEL_PL_REL,) * 2 + (LU_F_REL,) * 3):
+            assert abs(got - exact) <= rel * exact + sys.float_info.min, (row, exact)
 
 
 def test_cli_out_file_and_summary_match_golden(capsys, tmp_path):
@@ -111,15 +147,15 @@ SIMULATE_CASES = [
      "predicted dempster limit: 1\n"),
     ("heavy-conflict-never-met",
      ["simulate", "--mode", "faithful", "--q", "0.995", "--steps", "50", "--w0-pos", "24.69", "--w0-neg", "36.89"],
-     0, "8f50aa31397de2c4fc8d074bbcd9c537fc1c96627dc30c1a9e19e3cbe9f5dcd2",
+     0, "c5cc301372ec557c5c1b3afba280b6432ffc584ee712d6daa0533f38b7302016",
      "final row: t=50 t_plus=49 bel=1 pl=1 l=0.969632123107 u=0.97043359782 f=0.970409882089\n"
      "predicted dempster limit: 1\n"),
     ("heavy-conflict-met",
      ["simulate", "--mode", "bernoulli", "--seed", "759152683", "--q", "0.551", "--steps", "50",
       "--w0-pos", "28.09", "--w0-neg", "28.47"],
-     2, "4cbe4c63c87815cfb405ee9fb8fe45ec5be3a1719191b86d73881fce0082fd70",
-     "error: total conflict between BeliefInterval(bel=1.0, pl=1.0) and "
-     "BeliefInterval(bel=0.0, pl=4.3209880118411093e-13)\n"),
+     0, "e1d52a3c19090c68dd6f2034301b18befdb189e7cd9f88f48a8db5318efcad35",
+     "final row: t=50 t_plus=23 bel=5.5822673092e-54 pl=5.5822673092e-54 l=0.456341470306 u=0.457047804713 "
+     "f=0.456664027821\npredicted dempster limit: 1\n"),
 ]
 
 
