@@ -52,15 +52,30 @@ class _UsageError(Exception):
 
 
 @contextlib.contextmanager
-def _writing_stdout():
-    """Guard writes to stdout.  If one fails, stdout is pointed at devnull so
-    the interpreter's final flush of what is left stays quiet; a reader that
-    went away (`evcalc simulate ... | head`) passes on as BrokenPipeError,
-    any other failure (`> /dev/full`) becomes a one-line usage error."""
+def _output(path: str | None = None):
+    """Yield a function that writes bytes to the file path, or else to stdout
+    (decoded onto a text-only one, such as an io.StringIO, which has no
+    .buffer); the only code that touches stdout.  A failed write or flush is
+    a one-line usage error, except that a stdout reader that went away
+    (`| head`) passes on as BrokenPipeError, with stdout pointed at devnull
+    so that the interpreter's final flush stays quiet."""
+    if path:
+        try:
+            with open(path, "wb") as fh:
+                yield fh.write
+        except OSError as exc:
+            raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        return
+    stdout = sys.stdout
+    if stdout is None:  # started with stdout closed
+        raise _UsageError("cannot write stdout: it is closed")
     try:
-        yield
+        stdout.flush()  # the bytes go after any text already written
+        buffer = getattr(stdout, "buffer", None)
+        yield buffer.write if buffer else lambda data: stdout.write(data.decode())
+        stdout.flush()  # a reader that went away shows up here, not at exit
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             raise
         raise _UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
@@ -78,10 +93,16 @@ def _load_json(text: str):
         raise _UsageError(f"malformed JSON: {exc}") from exc
 
 
+def _read_stdin() -> str:
+    if sys.stdin is None:  # started with stdin closed
+        raise _UsageError("cannot read stdin: it is closed")
+    return sys.stdin.read()
+
+
 def _read_values(args) -> list:
     if args.values:
         return [_load_json(v) for v in args.values]
-    data = _load_json(sys.stdin.read())
+    data = _load_json(_read_stdin())
     if not isinstance(data, list):
         raise _UsageError("stdin must hold a JSON array of values")
     return data
@@ -127,7 +148,7 @@ def _cmd_convert(args) -> tuple[int, dict]:
         "lu": (FrequencyInterval.from_dict, lambda fi: weights_from_counts(counts_from_interval(fi)), lu_from_weights),
         "counts": (EvidenceCounts.from_dict, weights_from_counts, counts_from_weights),
     }
-    raw = args.value if args.value is not None else sys.stdin.read()
+    raw = args.value if args.value is not None else _read_stdin()
     parse, to_weights, _ = formats[args.source]
     value = parse(_load_json(raw))
     if args.source != args.target:
@@ -136,8 +157,6 @@ def _cmd_convert(args) -> tuple[int, dict]:
 
 
 def _cmd_simulate(args) -> tuple[int, None]:
-    from types import SimpleNamespace
-
     from .convergence import StreamSpec, _dual_track_rows, _write_csv
     from .evidence_scale import UnitWeights, classify_limit
 
@@ -145,22 +164,8 @@ def _cmd_simulate(args) -> tuple[int, None]:
     mode = "frequency_faithful" if args.mode == "faithful" else "bernoulli"
     spec = StreamSpec(mode=mode, steps=args.steps, q=args.q, seed=args.seed)
     rows = _dual_track_rows(spec, unit, args.record_every)
-    if args.out:
-        try:
-            with open(args.out, "wb") as fh:
-                final = _write_csv(rows, fh)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-    else:
-        with _writing_stdout():
-            sys.stdout.flush()  # the CSV bytes go after any text already written
-            # a text-only stdout (an io.StringIO) has no .buffer: decode each line onto it
-            out = getattr(sys.stdout, "buffer", None) or SimpleNamespace(
-                write=lambda line: sys.stdout.write(line.decode())
-            )
-            final = _write_csv(rows, out)
-            sys.stdout.flush()  # the summary below is only for a CSV that was written
-    t, t_plus, bel, pl, l, u, f = final
+    with _output(args.out) as write:  # the summary below is only for a CSV that was written
+        t, t_plus, bel, pl, l, u, f = _write_csv(rows, write)
     f = "" if f is None else f"{f:.12g}"
     print(
         f"final row: t={t} t_plus={t_plus} bel={bel:.12g} pl={pl:.12g} l={l:.12g} u={u:.12g} f={f}",
@@ -170,51 +175,41 @@ def _cmd_simulate(args) -> tuple[int, None]:
     return EXIT_OK, None
 
 
-def _final_row(rows) -> tuple:
-    """The last of the fold's (t, t_plus, bel, pl, l, u, f) rows; the rows
-    before it are dropped as they come.  A row is a closed form of its
-    counts, so the demos ask for the start and final rows only."""
-    for row in rows:
-        pass
-    return row
-
-
 def _cmd_defect_demo(args) -> tuple[int, dict]:
-    from .convergence import StreamSpec, _dual_track_rows
-    from .evidence_scale import UnitWeights, classify_limit
+    from .convergence import StreamSpec, check_limits, run_dual_track
+    from .evidence_scale import UnitWeights
 
     unit = UnitWeights(args.w0_pos, args.w0_neg)
     spec = StreamSpec(mode="frequency_faithful", steps=args.steps, q=args.q)
-    _, _, bel, pl, l, u, f = _final_row(_dual_track_rows(spec, unit, max(spec.steps, 1)))
+    report = check_limits(run_dual_track(spec, unit, max(spec.steps, 1)), spec, unit)
+    final = report.final
     return EXIT_OK, {
         "q": args.q,
         "steps": args.steps,
-        "predicted_dempster_limit": classify_limit(args.q, unit),
-        "final_bel": bel,
-        "final_pl": pl,
-        "final_l": l,
-        "final_u": u,
-        "final_f": f,
-        "dempster_gap_to_q": abs(bel - args.q),
-        "lower_frequency_gap_to_q": abs(l - args.q),
+        "predicted_dempster_limit": report.predicted_limit,
+        "final_bel": final.ds_bel,
+        "final_pl": final.ds_pl,
+        "final_l": final.lu_l,
+        "final_u": final.lu_u,
+        "final_f": final.freq,
+        "dempster_gap_to_q": abs(final.ds_bel - args.q),
+        "lower_frequency_gap_to_q": report.lower_gap_to_q,
     }
 
 
 def _cmd_delta_demo(args) -> tuple[int, dict]:
-    from .convergence import StreamSpec, _dual_track_rows
-    from .evidence_scale import UnitWeights, delta_limit
+    from .convergence import StreamSpec, check_limits, run_dual_track
 
     spec = StreamSpec(mode="delta_profile", steps=args.steps, delta=args.delta)  # checks delta
     if args.steps < spec.delta:
         raise _UsageError("steps must be at least delta")
-    bel = _final_row(_dual_track_rows(spec, UnitWeights(), max(spec.steps, 1)))[2]
-    analytic = delta_limit(spec.delta)
+    report = check_limits(run_dual_track(spec, record_every=max(spec.steps, 1)), spec)
     return EXIT_OK, {
         "delta": int(spec.delta),
         "steps": args.steps,
-        "final_bel": bel,
-        "analytic_limit": analytic,
-        "abs_difference": abs(bel - analytic),
+        "final_bel": report.final.ds_bel,
+        "analytic_limit": report.analytic_point,
+        "abs_difference": report.bel_gap_to_analytic,
     }
 
 
@@ -263,10 +258,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         code, result = args.func(args)
-        with _writing_stdout():
-            if result is not None:
-                print(json.dumps(result))
-            sys.stdout.flush()  # a reader that went away shows up here, not at exit
+        if result is not None:
+            with _output() as write:
+                write(json.dumps(result).encode() + b"\n")
         return code
     except BrokenPipeError:  # the reader of stdout stopped early
         return EXIT_OK

@@ -15,10 +15,10 @@ stream at a time.
 The fold streams: it yields one row at a time as a plain tuple, and
 `evcalc simulate` writes each CSV line as its row arrives, so the run's
 memory does not grow with the step count.  The lines are formatted as bytes
-and written to a binary stream, with no text encoding per line; the rows
-whose Dempster pair is saturated at (1, 1) share one (bel, pl) pair, whose
-two cells are formatted once.  run_dual_track collects the same rows into a
-Trajectory.
+and handed to a function that writes bytes, with no text encoding per line;
+the rows whose Dempster pair is saturated at (1, 1) share one (bel, pl)
+pair, whose two cells are formatted once.  run_dual_track collects the same
+rows into a Trajectory.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import io
 from itertools import accumulate, chain, islice
 from math import floor, log
 from operator import gt
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binary_frame import SUM_TOLERANCE, _unit_pair
 from .errors import ValidationError, _is_whole, _real, _Value
@@ -129,8 +129,8 @@ _ROW_FORMAT_NO_FREQ = _ROW_FORMAT[: _ROW_FORMAT.rindex(b"%")] + b"\n"
 _CELL_FORMAT = b"%%d,%%d,%.12g,%.12g,%%.12g,%%.12g,%%.12g\n"
 
 
-def _write_csv(rows: Iterable[tuple], out: BinaryIO) -> tuple | None:
-    """Write the header and one line per row to the binary stream out as the rows arrive.
+def _write_csv(rows: Iterable[tuple], write: Callable[[bytes], object]) -> tuple | None:
+    """Pass the header and one line per row, as bytes, to write as the rows arrive.
 
     Rows are (t, t_plus, bel, pl, l, u, f) tuples or TrajectoryRows; an
     undefined f (None) is left empty.  While its Dempster pair is saturated
@@ -139,7 +139,6 @@ def _write_csv(rows: Iterable[tuple], out: BinaryIO) -> tuple | None:
     through a format with their cells already filled in, built at the first
     such row.  Returns the last row written, or None if there was none.
     """
-    write = out.write
     write(CSV_HEADER.encode() + b"\n")
     row = bel = pl = cell = None
     for row in rows:
@@ -169,7 +168,7 @@ class Trajectory(_Value):
     def to_csv(self) -> str:
         """CSV with header t,t_plus,bel,pl,l,u,f; undefined f is left empty."""
         buf = io.BytesIO()
-        _write_csv(self.rows, buf)
+        _write_csv(self.rows, buf.write)
         return buf.getvalue().decode()
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import evcalc
+from evcalc import StreamSpec, run_dual_track
 from evcalc.cli import main
 
 
@@ -324,6 +325,42 @@ def test_full_stdout_is_a_one_line_error(argv):
         )
     assert proc.returncode == 1
     assert proc.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def _run_with_stdout_closed(argv) -> subprocess.CompletedProcess:
+    """evcalc in a new interpreter started with its stdout descriptor closed,
+    so its sys.stdout is None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], stderr=subprocess.PIPE, env=env,
+                          preexec_fn=lambda: os.close(1), timeout=60)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--q", "0.7", "--steps", "3"),
+        ("convert", "--from", "counts", "--to", "lu", '{"w_plus":6,"w_total":10}'),
+        ("combine", "--rule", "lu", '{"kind":"point","value":0.5}', '{"kind":"interval","l":0,"u":1}'),
+    ],
+)
+def test_closed_stdout_is_a_one_line_error(argv):
+    proc = _run_with_stdout_closed(argv)
+    assert (proc.returncode, proc.stderr.decode()) == (1, "error: cannot write stdout: it is closed\n")
+
+
+def test_simulate_out_file_needs_no_stdout(tmp_path):
+    # the file takes the lowest free descriptor, 1, so a stray write to stdout would land in it
+    target = tmp_path / "run.csv"
+    proc = _run_with_stdout_closed(("simulate", "--q", "0.7", "--steps", "3", "--out", str(target)))
+    assert proc.returncode == 0
+    assert proc.stderr.decode().startswith("final row: t=3 ") and b"Error" not in proc.stderr
+    assert target.read_text() == run_dual_track(StreamSpec(mode="frequency_faithful", steps=3, q=0.7)).to_csv()
+
+
+@pytest.mark.parametrize("argv", [("convert", "--from", "belpl", "--to", "weights"), ("combine", "--rule", "lu")])
+def test_closed_stdin_is_a_one_line_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", None)  # what the interpreter sets when it starts with stdin closed
+    assert run_cli(capsys, *argv) == (1, "", "error: cannot read stdin: it is closed\n")
 
 
 def _loaded(statement: str) -> set:

@@ -285,6 +285,7 @@ def test_delta_limit_rejects_nan():
         lambda: EvidenceWeights.finite(math.inf, 0.0),
         lambda: EvidenceWeights.finite(float("nan"), 0.0),
         lambda: EvidenceWeights.infinite(float("nan")),
+        lambda: EvidenceWeights("infinite"),  # no delta
         lambda: EvidenceWeights("bogus", w_plus=1.0, w_minus=1.0),
         lambda: EvidenceWeights("finite", w_plus=1.0),
         lambda: UnitWeights(0.0, 1.0),

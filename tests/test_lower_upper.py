@@ -284,9 +284,11 @@ def test_evidence_counts_validation():
 def test_json_forms():
     fi = FrequencyInterval(0.25, 0.75)
     assert fi.to_dict() == {"kind": "interval", "l": 0.25, "u": 0.75}
+    assert fi.kind == "interval"
     assert FrequencyInterval.from_dict(fi.to_dict()) == fi
     p = FrequencyInterval.point(0.4)
     assert p.to_dict() == {"kind": "point", "value": 0.4}
+    assert p.kind == "point"
     assert FrequencyInterval.from_dict(p.to_dict()) == p
     with pytest.raises(ValidationError):
         FrequencyInterval.from_dict({"kind": "triangle", "l": 0, "u": 1})
