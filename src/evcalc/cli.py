@@ -59,7 +59,7 @@ def _output(path: str | None = None):
     a one-line usage error, except that a stdout reader that went away
     (`| head`) passes on as BrokenPipeError, with stdout pointed at devnull
     so that the interpreter's final flush stays quiet."""
-    if path:
+    if path is not None:
         try:
             with open(path, "wb") as fh:
                 yield fh.write
@@ -91,6 +91,14 @@ def _load_json(text: str):
         return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise _UsageError(f"malformed JSON: {exc}") from exc
+
+
+def _say(line: str) -> None:
+    """Print line to stderr; a closed or unwritable stderr drops it and
+    leaves stdout and the exit code as they are."""
+    if sys.stderr is not None:  # None when started with stderr closed
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
 
 
 def _read_stdin() -> str:
@@ -167,11 +175,8 @@ def _cmd_simulate(args) -> tuple[int, None]:
     with _output(args.out) as write:  # the summary below is only for a CSV that was written
         t, t_plus, bel, pl, l, u, f = _write_csv(rows, write)
     f = "" if f is None else f"{f:.12g}"
-    print(
-        f"final row: t={t} t_plus={t_plus} bel={bel:.12g} pl={pl:.12g} l={l:.12g} u={u:.12g} f={f}",
-        file=sys.stderr,
-    )
-    print(f"predicted dempster limit: {classify_limit(args.q, unit):.12g}", file=sys.stderr)
+    _say(f"final row: t={t} t_plus={t_plus} bel={bel:.12g} pl={pl:.12g} l={l:.12g} u={u:.12g} f={f}")
+    _say(f"predicted dempster limit: {classify_limit(args.q, unit):.12g}")
     return EXIT_OK, None
 
 
@@ -265,10 +270,10 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # the reader of stdout stopped early
         return EXIT_OK
     except (_UsageError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except (TotalConflictError, InfiniteEvidenceError, ZeroEvidenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_MATH
 
 

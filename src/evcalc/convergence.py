@@ -15,10 +15,8 @@ stream at a time.
 The fold streams: it yields one row at a time as a plain tuple, and
 `evcalc simulate` writes each CSV line as its row arrives, so the run's
 memory does not grow with the step count.  The lines are formatted as bytes
-and handed to a function that writes bytes, with no text encoding per line;
-the rows whose Dempster pair is saturated at (1, 1) share one (bel, pl)
-pair, whose two cells are formatted once.  run_dual_track collects the same
-rows into a Trajectory.
+and handed to a function that writes bytes, with no text encoding per line.
+run_dual_track collects the same rows into a Trajectory.
 """
 
 from __future__ import annotations
@@ -125,31 +123,25 @@ class TrajectoryRow(NamedTuple):
 # one CSV line per row; a row without a frequency stops before its last cell
 _ROW_FORMAT = b"%d,%d,%.12g,%.12g,%.12g,%.12g,%.12g\n"
 _ROW_FORMAT_NO_FREQ = _ROW_FORMAT[: _ROW_FORMAT.rindex(b"%")] + b"\n"
-# % (bel, pl) gives _ROW_FORMAT with the bel and pl cells filled in
-_CELL_FORMAT = b"%%d,%%d,%.12g,%.12g,%%.12g,%%.12g,%%.12g\n"
+# _ROW_FORMAT for a Dempster pair saturated at (1, 1), which %.12g prints as 1
+_SATURATED_ROW_FORMAT = b"%d,%d,1,1,%.12g,%.12g,%.12g\n"
 
 
 def _write_csv(rows: Iterable[tuple], write: Callable[[bytes], object]) -> tuple | None:
     """Pass the header and one line per row, as bytes, to write as the rows arrive.
 
     Rows are (t, t_plus, bel, pl, l, u, f) tuples or TrajectoryRows; an
-    undefined f (None) is left empty.  While its Dempster pair is saturated
-    at (1, 1), the fold gives every row the same float object for bel and pl,
-    so a row whose bel and pl are the previous row's objects is written
-    through a format with their cells already filled in, built at the first
-    such row.  Returns the last row written, or None if there was none.
+    undefined f (None) is left empty.  Returns the last row written, or None
+    if there was none.
     """
     write(CSV_HEADER.encode() + b"\n")
-    row = bel = pl = cell = None
+    row = None
     for row in rows:
-        t, t_plus, b, p, l, u, f = row
-        if b is bel and p is pl and f is not None:
-            if cell is None:
-                cell = _CELL_FORMAT % (b, p)
-            write(cell % (t, t_plus, l, u, f))
+        t, t_plus, bel, pl, l, u, f = row
+        if bel == pl == 1.0 and f is not None:
+            write(_SATURATED_ROW_FORMAT % (t, t_plus, l, u, f))
         else:
             write(_ROW_FORMAT % row if f is not None else _ROW_FORMAT_NO_FREQ % row[:6])
-            bel, pl, cell = b, p, None
     return row
 
 
@@ -214,10 +206,9 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
     # and wm = t_minus * w0-, one rounding each: (bel, pl) as
     # belief_from_weights gives it, with BeliefInterval's repair on plain
     # floats, and l, u, f as interval_from_counts and w+ / w (w > 0 after
-    # row 0; no repair: 0 <= wp <= w, rounding is monotone).  A saturated
-    # pair is the literal 1.0 twice, the same float object on every row, so
-    # _write_csv formats its cells once.  In each block the counts at its
-    # rows are read off a running sum, which is lazy: nothing is kept per row.
+    # row 0; no repair: 0 <= wp <= w, rounding is monotone).  In each block
+    # the counts at its rows are read off a running sum, which is lazy:
+    # nothing is kept per row.
     w0_plus, w0_minus = unit.w0_plus, unit.w0_minus
     total_steps = spec.steps
     t = t_plus = 0  # the counts at the end of the blocks so far
@@ -287,17 +278,7 @@ class LimitReport(_Value):
         )
 
     def to_dict(self) -> dict:
-        final = self.final
-        out = {
-            "mode": self.mode,
-            "t": final.t,
-            "t_plus": final.t_plus,
-            "bel": final.ds_bel,
-            "pl": final.ds_pl,
-            "l": final.lu_l,
-            "u": final.lu_u,
-            "f": final.freq,
-        }
+        out = {"mode": self.mode, **dict(zip(CSV_HEADER.split(","), self.final))}
         for key in self._fields[2:]:
             value = getattr(self, key)
             if value is not None:

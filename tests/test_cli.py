@@ -284,12 +284,12 @@ def test_simulate_tiny_unit_weight_ends_in_a_frequency(capsys):
 
 
 def test_simulate_unwritable_out_is_usage_error(capsys, tmp_path):
-    target = tmp_path / "missing" / "run.csv"
-    code, out, err = run_cli(capsys, "simulate", "--q", "0.7", "--steps", "10", "--out", str(target))
-    assert code == 1
-    assert out == ""
-    assert err.startswith(f"error: cannot write {target}: ")
-    assert len(err.splitlines()) == 1
+    for target in (str(tmp_path / "missing" / "run.csv"), ""):  # an empty path is not an omitted --out
+        code, out, err = run_cli(capsys, "simulate", "--q", "0.7", "--steps", "10", "--out", target)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_simulate_stops_quietly_when_stdout_reader_closes():
@@ -361,6 +361,32 @@ def test_simulate_out_file_needs_no_stdout(tmp_path):
 def test_closed_stdin_is_a_one_line_error(capsys, monkeypatch, argv):
     monkeypatch.setattr("sys.stdin", None)  # what the interpreter sets when it starts with stdin closed
     assert run_cli(capsys, *argv) == (1, "", "error: cannot read stdin: it is closed\n")
+
+
+def _close_stderr():
+    os.close(2)  # the interpreter then sets sys.stderr to None
+
+
+def _make_stderr_read_only():
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)  # every write to it fails
+
+
+@pytest.mark.parametrize("start", [_close_stderr, _make_stderr_read_only])
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (("simulate", "--q", "0.7", "--steps", "2"), 0,
+         run_dual_track(StreamSpec(mode="frequency_faithful", steps=2, q=0.7)).to_csv()),
+        (("combine", "--rule", "dempster", '{"bel":1,"pl":1}', '{"bel":0,"pl":0}'), 2, ""),  # total conflict
+        (("convert", "--from", "belpl", "--to", "weights", "{"), 1, ""),
+    ],
+    ids=["simulate", "combine", "convert"],
+)
+def test_lost_stderr_leaves_stdout_and_exit_code(start, argv, code, out):
+    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], stdout=subprocess.PIPE, env=env,
+                          preexec_fn=start, timeout=60)
+    assert (proc.returncode, proc.stdout.decode()) == (code, out)
 
 
 def _loaded(statement: str) -> set:

@@ -601,8 +601,9 @@ def test_streamed_csv_memory_does_not_grow_with_steps():
 def _rows_repeating_pairs(draw):
     """Rows whose bel and pl objects often repeat the previous row's; the
     pool also holds, for each value, another object equal to it (0.0 and
-    -0.0 are equal too, but print differently)."""
-    values = draw(st.lists(st.sampled_from([0.0, -0.0]) | st.floats(), min_size=1, max_size=3))
+    -0.0 are equal too, but print differently), and often 1.0, so that
+    some rows are saturated at (1, 1)."""
+    values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0]) | st.floats(), min_size=1, max_size=3))
     pool = values + [float.fromhex(v.hex()) for v in values]
     rows, pair = [], None
     for t in range(draw(st.integers(0, 30))):
@@ -622,6 +623,10 @@ def _csv_line(row) -> str:
 # a repeated pair without a frequency, then an equal pair of other objects
 @example(rows=[(0, 0, 0.0, 1.0, 0.0, 1.0, None), (1, 1, 0.0, 1.0, 0.5, 1.0, None),
                (2, 1, 0.0, 1.0, 0.3, 0.6, 0.5), (3, 1, -0.0, 1.0, 0.3, 0.6, 0.5)])
+# saturated rows, also at a pair of ints; a pl one ulp below 1; a saturated
+# row without a frequency
+@example(rows=[(0, 0, 1.0, 1.0, 0.0, 1.0, 0.25), (1, 1, 1.0, 1.0, 0.5, 1.0, 1.0), (2, 2, 1, 1, 0.6, 0.8, 1.0),
+               (3, 2, 1.0, math.nextafter(1.0, 0.0), 0.5, 0.75, 2 / 3), (4, 3, 1.0, 1.0, 0.6, 0.8, None)])
 @given(rows=_rows_repeating_pairs())
 def test_csv_lines_equal_the_rows_formatted_one_by_one(rows):
     out = io.BytesIO()
@@ -658,6 +663,11 @@ def test_check_limits_faithful():
     assert data["mode"] == "frequency_faithful"
     assert data["predicted_limit"] == 1.0
     assert data["t"] == 2000
+    assert list(data.items()) == [
+        ("mode", "frequency_faithful"), ("t", 2000), ("t_plus", 1400), ("bel", 1.0), ("pl", 1.0),
+        ("l", 1400 / 2001), ("u", 1401 / 2001), ("f", 0.7), ("predicted_limit", 1.0),
+        ("bel_gap_to_prediction", 0.0), ("q", 0.7), ("freq_gap_to_q", 0.0), ("lower_gap_to_q", 0.7 - 1400 / 2001),
+    ]
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0])
@@ -674,6 +684,12 @@ def test_check_limits_delta_profile():
     assert report.analytic_point == delta_limit(2.0)
     assert report.bel_gap_to_analytic < 1e-6
     assert report.predicted_limit is None
+    bel = 0.11920292202211755  # 1 / (1 + e^2), the analytic point
+    assert list(report.to_dict().items()) == [
+        ("mode", "delta_profile"), ("t", 10_000), ("t_plus", 4999), ("bel", bel), ("pl", bel),
+        ("l", 4999 / 10_001), ("u", 5000 / 10_001), ("f", 0.4999), ("delta", 2.0), ("analytic_point", bel),
+        ("bel_gap_to_analytic", 0.0),
+    ]
 
 
 def test_check_limits_explicit_is_minimal():
