@@ -129,15 +129,10 @@ def belief_from_weights(w: EvidenceWeights) -> BeliefInterval:
     weights_from_belief invert it losslessly.  Infinite weights give the
     Bayesian point 1 / (1 + e^{delta}), which carries nothing.
     """
-    if not w.is_finite:
-        point = delta_limit(w.delta)
-        return BeliefInterval(point, point)
-    return _belief(w.w_plus, w.w_minus)
-
-
-def _belief(wp: float, wm: float) -> BeliefInterval:
-    """belief_from_weights of finite weights (wp, wm) that have passed the weights check."""
-    return BeliefInterval._carrying(*_belief_parts(wp, wm))
+    if w.kind == FINITE:
+        return BeliefInterval._carrying(*_belief_parts(w.w_plus, w.w_minus))
+    point = delta_limit(w.delta)
+    return BeliefInterval(point, point)
 
 
 def _belief_parts(wp: float, wm: float) -> tuple[float, float, float]:
@@ -156,11 +151,11 @@ def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:
 
     A strictly inner interval has the finite preimage
     w+ = log(1 + bel / (pl - bel)), w- = log(1 + (1 - pl) / (pl - bel)).
-    The complement 1 - pl and width pl - bel are read from
-    BeliefInterval.masses(): a value built by belief_from_weights carries
-    them exactly, so its weights come back to about 1e-15 relative; a plain
-    (bel, pl) value derives them by subtraction.  A Bayesian point
-    (bel == pl) carries infinite total weight, of which only delta survives.
+    A value built by belief_from_weights carries its complement 1 - pl and
+    width pl - bel as that map computed them, and they are read as carried,
+    so its weights come back to about 1e-15 relative; a plain (bel, pl)
+    value derives them by subtraction.  A Bayesian point (bel == pl)
+    carries infinite total weight, of which only delta survives.
     """
     bel, pl = iv.bel, iv.pl
     if bel == pl:
@@ -169,12 +164,23 @@ def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:
         if bel >= 1.0:
             return EvidenceWeights.infinite(-math.inf)
         return EvidenceWeights.infinite(math.log((1.0 - bel) / bel))
-    m_h, m_not_h, width = iv.masses()
-    # log(1 + part / width): as bel != pl, m_h / width stays below 2**54, but
+    return EvidenceWeights.finite(*_finite_weights(bel, pl, iv._carried))
+
+
+def _finite_weights(bel: float, pl: float, carried: tuple[float, float] | None) -> tuple[float, float]:
+    """(w+, w-) of the interval (bel, pl), bel != pl, with its carried (1 - pl, pl - bel) or None.
+
+    Both are finite and nonnegative, so EvidenceWeights.finite keeps them as they are.
+    """
+    if carried is None:
+        m_not_h, width = 1.0 - pl, pl - bel
+    else:
+        m_not_h, width = carried
+    # log(1 + part / width): as bel != pl, bel / width stays below 2**54, but
     # a carried complement over a width near the float minimum overflows
     ratio = m_not_h / width
     w_minus = math.log1p(ratio) if ratio != math.inf else math.log(m_not_h) - math.log(width)
-    return EvidenceWeights.finite(math.log1p(m_h / width), w_minus)
+    return math.log1p(bel / width), w_minus
 
 
 def add_weights(w1: EvidenceWeights, w2: EvidenceWeights) -> EvidenceWeights:
@@ -207,15 +213,16 @@ def positive_proportion(iv: BeliefInterval) -> float:
     Read from the weights_from_belief preimage, so a value built by
     belief_from_weights gives w+ / (w+ + w-) of its own weights.
     """
-    if iv.bel == iv.pl:
+    bel, pl = iv.bel, iv.pl
+    if bel == pl:
         raise InfiniteEvidenceError(
             "a Bayesian point carries infinite weight; the proportion is undefined"
         )
-    w = weights_from_belief(iv)
-    total = w.w_plus + w.w_minus
+    w_plus, w_minus = _finite_weights(bel, pl, iv._carried)
+    total = w_plus + w_minus
     if total == 0.0:
         raise ZeroEvidenceError("the vacuous interval carries zero weight (0/0)")
-    return w.w_plus / total
+    return w_plus / total
 
 
 def classify_limit(q: float, unit: UnitWeights) -> float:

@@ -14,7 +14,7 @@ import math
 
 from .binary_frame import BeliefInterval, _unit_pair
 from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _Value, parse_object
-from .evidence_scale import EvidenceWeights, _belief, delta_limit, weights_from_belief
+from .evidence_scale import FINITE, EvidenceWeights, _belief_parts, _finite_weights, delta_limit, weights_from_belief
 
 #: Two points closer than this are the same convention.
 POINT_TOLERANCE = 1e-12
@@ -128,17 +128,16 @@ def interval_from_counts(c: EvidenceCounts) -> FrequencyInterval:
     return FrequencyInterval(c.w_plus / scale, (c.w_plus + 1.0) / scale)
 
 
+_POINT_COUNTS = "a point carries infinite evidence, finite counts do not exist"
+
+
 def counts_from_interval(fi: FrequencyInterval) -> EvidenceCounts:
     """Invert interval_from_counts; points have no finite counts."""
-    return EvidenceCounts(*_interval_counts(fi))
-
-
-def _interval_counts(fi: FrequencyInterval) -> tuple[float, float]:
-    """counts_from_interval's (w_plus, w_total), before the counts check."""
-    if fi.is_point:
-        raise InfiniteEvidenceError("a point carries infinite evidence, finite counts do not exist")
-    width = fi.u - fi.l
-    return fi.l / width, (1.0 - width) / width
+    l, u = fi.l, fi.u
+    if l == u:
+        raise InfiniteEvidenceError(_POINT_COUNTS)
+    width = u - l
+    return EvidenceCounts(l / width, (1.0 - width) / width)
 
 
 def frequency(fi: FrequencyInterval) -> float:
@@ -168,15 +167,16 @@ def combine_lu(f1: FrequencyInterval, f2: FrequencyInterval) -> FrequencyInterva
     is exactly addition of the underlying counts.  Total ignorance (0, 1)
     is the identity.
     """
-    if f1.is_point or f2.is_point:
+    l1, u1, l2, u2 = f1.l, f1.u, f2.l, f2.u
+    if l1 == u1 or l2 == u2:
         raise InfiniteEvidenceError(
             "points cannot be pooled by the interval rule; "
             "use combine_with_point or combine_points"
         )
-    i1 = f1.u - f1.l
-    i2 = f2.u - f2.l
+    i1 = u1 - l1
+    i2 = u2 - l2
     denom = i1 + i2 - i1 * i2
-    shared = f1.l * i2 + f2.l * i1
+    shared = l1 * i2 + l2 * i1
     return FrequencyInterval(shared / denom, (shared + i1 * i2) / denom)
 
 
@@ -222,9 +222,16 @@ def counts_from_weights(w: EvidenceWeights) -> EvidenceCounts:
 
 def lu_from_weights(w: EvidenceWeights) -> FrequencyInterval:
     """The frequency interval of weights; infinite ones give a point."""
-    if not w.is_finite:
+    if w.kind != FINITE:
         return FrequencyInterval.point(delta_limit(w.delta))
-    wp, wt = _check_counts(w.w_plus, w.w_plus + w.w_minus)  # as interval_from_counts(counts_from_weights(w))
+    return _lu(w.w_plus, w.w_minus)
+
+
+def _lu(wp: float, wm: float) -> FrequencyInterval:
+    """interval_from_counts(counts_from_weights(w)) of finite weights (wp, wm), on floats."""
+    wt = wp + wm
+    if not 0.0 <= wp <= wt < math.inf:
+        wp, wt = _check_counts(wp, wt)
     scale = wt + 1.0
     return FrequencyInterval(wp / scale, (wp + 1.0) / scale)
 
@@ -234,10 +241,20 @@ def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
 
     Bayesian inputs map to points at 1/(1 + e^{delta}).
     """
-    return lu_from_weights(weights_from_belief(iv))
+    bel, pl = iv.bel, iv.pl
+    if bel == pl:
+        return lu_from_weights(weights_from_belief(iv))
+    return _lu(*_finite_weights(bel, pl, iv._carried))
 
 
 def belpl_from_lu(fi: FrequencyInterval) -> BeliefInterval:
     """Inverse of lu_from_belpl; a point has no finite counts (InfiniteEvidenceError)."""
-    wp, wt = _check_counts(*_interval_counts(fi))
-    return _belief(wp, wt - wp)  # checked counts give weights that pass EvidenceWeights' check
+    l, u = fi.l, fi.u
+    if l == u:
+        raise InfiniteEvidenceError(_POINT_COUNTS)
+    width = u - l
+    wp, wt = l / width, (1.0 - width) / width
+    if not 0.0 <= wp <= wt < math.inf:
+        wp, wt = _check_counts(wp, wt)
+    # checked counts give weights that pass EvidenceWeights' check
+    return BeliefInterval._carrying(*_belief_parts(wp, wt - wp))

@@ -1,12 +1,13 @@
 """The constructors' in-range fast checks and the float-level maps against their references.
 
 Each value constructor tests the common in-range case with one comparison
-and repairs or rejects only outside it; belpl_from_lu and lu_from_weights
-compute on floats instead of building intermediate values.  Here every
-constructor must give, bit for bit (the sign of zero included), what its
-repair path gives on the same input, and raise the same class with the same
-message where that path raises; each map must give what the public chain of
-maps gives, BeliefInterval's carried complement and width included.
+and repairs or rejects only outside it; belpl_from_lu, lu_from_weights,
+lu_from_belpl and positive_proportion compute on floats instead of building
+intermediate values.  Here every constructor must give, bit for bit (the
+sign of zero included), what its repair path gives on the same input, and
+raise the same class with the same message where that path raises; each
+map must give what the public chain of maps gives, BeliefInterval's carried
+complement and width included.
 """
 
 import math
@@ -22,13 +23,17 @@ from evcalc import (
     EvidenceWeights,
     FrequencyInterval,
     MassAssignment,
+    InfiniteEvidenceError,
     ValidationError,
+    ZeroEvidenceError,
     belief_from_weights,
     belpl_from_lu,
     counts_from_interval,
     counts_from_weights,
     interval_from_counts,
+    lu_from_belpl,
     lu_from_weights,
+    positive_proportion,
     weights_from_belief,
     weights_from_counts,
 )
@@ -213,3 +218,45 @@ def test_weights_from_belief_reads_each_part_as_a_log_ratio(w):
     expected = (log1p_ratio(m_h, width), log1p_ratio(m_not_h, width))
     back = weights_from_belief(iv)
     assert outcome(lambda: (back.w_plus, back.w_minus)) == outcome(lambda: expected)
+
+
+def weights_fields(w):
+    """(kind, w_plus, w_minus, delta) of weights, each float as float.hex."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in (w.kind, w.w_plus, w.w_minus, w.delta))
+
+
+def read_weights(iv):
+    """weights_from_belief written out on the public masses(): log(1 + part / width) of each part."""
+    if iv.bel == iv.pl:
+        return weights_from_belief(iv)
+    m_h, m_not_h, width = iv.masses()
+    return EvidenceWeights.finite(log1p_ratio(m_h, width), log1p_ratio(m_not_h, width))
+
+
+def chained_proportion(iv):
+    """w+ / (w+ + w-) of weights_from_belief, with positive_proportion's errors."""
+    w = weights_from_belief(iv)
+    if not w.is_finite:
+        raise InfiniteEvidenceError("a Bayesian point carries infinite weight; the proportion is undefined")
+    total = w.w_plus + w.w_minus
+    if total == 0.0:
+        raise ZeroEvidenceError("the vacuous interval carries zero weight (0/0)")
+    return (w.w_plus / total,)
+
+
+# belief intervals: plain pairs (zeros of both signs and the ends included),
+# weight-built ones with carried parts, Bayesian points and one-ulp intervals
+unit = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0]), st.floats(0.0, 1.0))
+belief_intervals = st.one_of(
+    st.tuples(unit, unit).map(lambda p: BeliefInterval(*sorted(p))),
+    st.one_of(extreme_weights, finite_weights).map(belief_from_weights),
+    unit.map(lambda b: BeliefInterval(b, b)),
+    unit.map(lambda b: BeliefInterval(math.nextafter(b, 0.0), b) if b else BeliefInterval(0.0, 5e-324)),
+)
+
+
+@given(belief_intervals)
+def test_lu_from_belpl_equals_the_public_chain(iv):
+    assert outcome(lu_from_belpl, iv) == outcome(lambda v: lu_from_weights(weights_from_belief(v)), iv)
+    assert weights_fields(weights_from_belief(iv)) == weights_fields(read_weights(iv))
+    assert outcome(lambda v: (positive_proportion(v),), iv) == outcome(chained_proportion, iv)
