@@ -89,7 +89,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or too deep
         raise _UsageError(f"malformed JSON: {exc}") from exc
 
 

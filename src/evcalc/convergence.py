@@ -187,7 +187,9 @@ def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1)
     produced lazily; the arguments are checked before the first row."""
     if not _is_whole(record_every) or record_every < 1:
         raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
-    record_every = int(record_every)  # a whole float such as 2000.0 would not index bytes.count
+    # a whole float such as 2000.0 would not index bytes.count, and islice takes no stride above
+    # sys.maxsize: any stride past the run records only the start and final rows, as steps + 1 does
+    record_every = min(int(record_every), spec.steps + 1)
     for name, w in (("w0_plus", unit.w0_plus), ("w0_minus", unit.w0_minus)):
         if support_from_weight(w) == 1.0:  # from 54 ln 2 on, e^-w is at most half an ulp of 1
             raise ValidationError(f"{name} must be below 54 ln 2 (about 37.43), got {w!r}: its support rounds to 1")

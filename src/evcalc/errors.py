@@ -46,7 +46,7 @@ def parse_object(what: str, data, build):
         return build(data)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
         raise ValidationError(f"bad {what} object: {data!r}") from exc
 
 

@@ -44,7 +44,7 @@ class EvidenceWeights(_Value):
             if not (0.0 <= wp < math.inf and 0.0 <= wm < math.inf):
                 if not (math.isfinite(wp) and math.isfinite(wm)) or wp < -SUM_TOLERANCE or wm < -SUM_TOLERANCE:
                     raise ValidationError(f"weights must be finite and nonnegative, got ({w_plus!r}, {w_minus!r})")
-                wp, wm = max(wp, 0.0), max(wm, 0.0)  # rounding noise from log-based inversions may dip below zero
+                wp, wm = max(wp, 0.0), max(wm, 0.0)  # outside input within the slack, such as a serialized -1e-13
             w_plus, w_minus, delta = wp, wm, None
         elif kind == INFINITE:
             if delta is None:
@@ -213,16 +213,15 @@ def positive_proportion(iv: BeliefInterval) -> float:
     Read from the weights_from_belief preimage, so a value built by
     belief_from_weights gives w+ / (w+ + w-) of its own weights.
     """
-    bel, pl = iv.bel, iv.pl
-    if bel == pl:
+    w = weights_from_belief(iv)
+    if w.kind != FINITE:
         raise InfiniteEvidenceError(
             "a Bayesian point carries infinite weight; the proportion is undefined"
         )
-    w_plus, w_minus = _finite_weights(bel, pl, iv._carried)
-    total = w_plus + w_minus
+    total = w.w_plus + w.w_minus
     if total == 0.0:
         raise ZeroEvidenceError("the vacuous interval carries zero weight (0/0)")
-    return w_plus / total
+    return w.w_plus / total
 
 
 def classify_limit(q: float, unit: UnitWeights) -> float:

@@ -94,14 +94,13 @@ class EvidenceCounts(_Value):
 
 
 def _check_counts(wp: float, wt: float) -> tuple[float, float]:
-    """Counts (w_plus, w_total) checked finite and nonnegative; a w_plus up to 1e-9 relative above w_total snaps to it."""
-    if 0.0 <= wp <= wt < math.inf:
-        return wp, wt
+    """Counts (w_plus, w_total) outside 0 <= w_plus <= w_total < inf, which each caller tests first:
+    rejected unless finite and nonnegative; a w_plus up to 1e-9 relative above w_total snaps to it."""
     if not (math.isfinite(wp) and math.isfinite(wt)) or wp < 0.0 or wt < 0.0:
         raise ValidationError(f"counts must be finite and nonnegative, got ({wp!r}, {wt!r})")
-    if wp - wt > 1e-9 * max(1.0, wt):  # here wp > wt
+    if wp - wt > 1e-9 * max(1.0, wt):
         raise ValidationError(f"w_plus must not exceed w_total, got ({wp!r}, {wt!r})")
-    return wt, wt
+    return min(wp, wt), wt
 
 
 class ConflictReport(_Value):
@@ -224,16 +223,7 @@ def lu_from_weights(w: EvidenceWeights) -> FrequencyInterval:
     """The frequency interval of weights; infinite ones give a point."""
     if w.kind != FINITE:
         return FrequencyInterval.point(delta_limit(w.delta))
-    return _lu(w.w_plus, w.w_minus)
-
-
-def _lu(wp: float, wm: float) -> FrequencyInterval:
-    """interval_from_counts(counts_from_weights(w)) of finite weights (wp, wm), on floats."""
-    wt = wp + wm
-    if not 0.0 <= wp <= wt < math.inf:
-        wp, wt = _check_counts(wp, wt)
-    scale = wt + 1.0
-    return FrequencyInterval(wp / scale, (wp + 1.0) / scale)
+    return interval_from_counts(counts_from_weights(w))
 
 
 def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
@@ -244,7 +234,13 @@ def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
     bel, pl = iv.bel, iv.pl
     if bel == pl:
         return lu_from_weights(weights_from_belief(iv))
-    return _lu(*_finite_weights(bel, pl, iv._carried))
+    # interval_from_counts(counts_from_weights(...)) of the finite weights, on floats
+    wp, wm = _finite_weights(bel, pl, iv._carried)
+    wt = wp + wm
+    if not 0.0 <= wp <= wt < math.inf:
+        wp, wt = _check_counts(wp, wt)
+    scale = wt + 1.0
+    return FrequencyInterval(wp / scale, (wp + 1.0) / scale)
 
 
 def belpl_from_lu(fi: FrequencyInterval) -> BeliefInterval:

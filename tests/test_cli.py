@@ -201,6 +201,46 @@ def test_convert_malformed_value(capsys, monkeypatch):
     assert err.startswith("error: malformed JSON") and err.count("\n") == 1
 
 
+# integers of 309 to 4300 digits overflow float(); from 4301 digits on json.loads
+# rejects them, unless PYTHONINTMAXSTRDIGITS=0 lifts that limit
+BIG_INTS = {"400_digits": "1" + "0" * 399, "5000_digits": "1" + "0" * 4999}
+# each command, a value with the integer at %s, and the other value of a combine
+BIG_VALUES = {
+    "counts": (("convert", "--from", "counts", "--to", "lu"), '{"w_plus": 1, "w_total": %s}', None),
+    "weights": (("convert", "--from", "weights", "--to", "lu"), '{"kind": "infinite", "delta": %s}', None),
+    "belpl": (("convert", "--from", "belpl", "--to", "counts"), '{"bel": 0, "pl": %s}', None),
+    "lu": (("convert", "--from", "lu", "--to", "belpl"), '{"kind": "point", "value": %s}', None),
+    "dempster": (("combine", "--rule", "dempster"), '{"bel": %s, "pl": 1}', '{"bel": 0, "pl": 1}'),
+    "combine_lu": (
+        ("combine", "--rule", "lu"), '{"kind": "interval", "l": 0, "u": %s}', '{"kind": "point", "value": 1}'
+    ),
+}
+
+
+@pytest.mark.parametrize("big", BIG_INTS.values(), ids=BIG_INTS)
+@pytest.mark.parametrize("case", BIG_VALUES.values(), ids=BIG_VALUES)
+def test_an_oversized_integer_is_a_one_line_error(capsys, monkeypatch, case, big):
+    command, template, other = case
+    value = template % big
+    values = [value] if other is None else [value, other]
+    stdin = value if other is None else f"[{value}, {other}]"
+    for argv, text in ((command + tuple(values), ""), (command, stdin)):  # in arguments, then on stdin
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("big", BIG_INTS.values(), ids=BIG_INTS)
+def test_an_oversized_integer_ends_without_a_traceback(big):
+    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
+    argv = ["convert", "--from", "counts", "--to", "lu", '{"w_plus": 1, "w_total": %s}' % big]
+    proc = subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 # --- simulate ---
 
 
@@ -233,6 +273,13 @@ def test_simulate_record_every_and_out_file(capsys, tmp_path):
     assert out == ""
     lines = target.read_text().splitlines()
     assert [line.split(",")[0] for line in lines] == ["t", "0", "5", "10"]
+
+
+def test_simulate_record_every_past_the_run(capsys):
+    args = ("simulate", "--q", "0.5", "--steps", "10", "--record-every")
+    code, out, _ = run_cli(capsys, *args, "10")
+    assert (code, len(out.splitlines())) == (0, 3)
+    assert run_cli(capsys, *args, str(2**63))[:2] == (0, out)
 
 
 def test_simulate_bernoulli_determinism(capsys):

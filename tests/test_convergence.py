@@ -374,6 +374,23 @@ def test_whole_float_record_every_gives_the_integer_rows():
     assert repr(run_dual_track(spec, UNIT, record_every=2000.0).rows) == repr(rows)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StreamSpec(mode="frequency_faithful", steps=10, q=0.5),
+        StreamSpec(mode="bernoulli", steps=2500, q=0.7, seed=5),
+        StreamSpec(mode="delta_profile", steps=1030, delta=3),
+        StreamSpec(mode="explicit", outcomes=[True, False, True]),
+    ],
+)
+def test_a_stride_past_the_run_records_the_start_and_final_rows(spec):
+    # strides from 2**63 on are past what islice takes
+    csv = run_dual_track(spec, UNIT, record_every=spec.steps).to_csv()
+    assert csv.count("\n") == 3
+    for stride in (spec.steps + 1, 2**63, 10**20):
+        assert run_dual_track(spec, UNIT, record_every=stride).to_csv() == csv
+
+
 def test_unit_weight_whose_support_rounds_to_one_is_rejected():
     # from 54 ln 2 on, 1 - e^-w rounds to 1: one outcome would be certain
     # evidence, and iterating the rule over it would no longer be adding

@@ -1,9 +1,10 @@
 """The constructors' in-range fast checks and the float-level maps against their references.
 
 Each value constructor tests the common in-range case with one comparison
-and repairs or rejects only outside it; belpl_from_lu, lu_from_weights,
-lu_from_belpl and positive_proportion compute on floats instead of building
-intermediate values.  Here every constructor must give, bit for bit (the
+and repairs or rejects only outside it; belpl_from_lu and lu_from_belpl,
+which the kernels benchmark runs, compute on floats instead of building
+intermediate values, and lu_from_weights and positive_proportion are written
+as their public chains.  Here every constructor must give, bit for bit (the
 sign of zero included), what its repair path gives on the same input, and
 raise the same class with the same message where that path raises; each
 map must give what the public chain of maps gives, BeliefInterval's carried

@@ -2,7 +2,8 @@
 
 A seeded grid of inputs (drawn here with random.Random, so the file needs
 nothing outside the package) runs through the value constructors, the eight
-benchmarked kernels and the public weight/count/interval chains.  Each
+benchmarked kernels, the public weight/count/interval chains and
+positive_proportion.  Each
 result is encoded by float.hex of every field and of BeliefInterval's
 carried complement and width, a raised error by its class and message, and
 each group of calls is pinned by one sha256.  A change that moves one bit
@@ -33,6 +34,7 @@ from evcalc import (
     interval_from_counts,
     lu_from_belpl,
     lu_from_weights,
+    positive_proportion,
     weights_from_belief,
     weights_from_counts,
 )
@@ -147,6 +149,7 @@ def _grid(seed: int = 20131) -> dict[str, list[str]]:
         "weights_from_counts": [_outcome(weights_from_counts, c) for c in value_counts],
         "counts_from_weights": [_outcome(counts_from_weights, w) for w in finite + infinite],
         "lu_from_weights": [_outcome(lu_from_weights, w) for w in finite + infinite],
+        "positive_proportion": [_outcome(positive_proportion, iv) for iv in intervals + built],
     }
     for name, outcomes in grid.items():
         assert len(outcomes) >= 40, name
@@ -171,6 +174,7 @@ GOLDEN = {
     "weights_from_counts": "29a372bf8896b4af382edf4871670ad8ab8912b2c53942e842ab32fb3d28899a",
     "counts_from_weights": "b85ade97546a38fbff7b61071454524882a2712cdae383c06af9f5d819c87269",
     "lu_from_weights": "4db0fe74c4a7103f3cfb25834c6be79de3877549dd85d237a7ac7a5d209be048",
+    "positive_proportion": "77c9322dac1840a0009320362f9463c04e9f18242a6713e5a47d7923325fd7ff",
 }
 
 
@@ -192,6 +196,9 @@ def test_grid_covers_repairs_errors_and_carried_values(grid):
     assert any(o.startswith("InfiniteEvidenceError") for o in grid["belpl_from_lu"])
     assert any(";(" in o for o in grid["belpl_from_lu"])
     assert any(";(" in o for o in grid["belief_from_weights"])
+    # Bayesian points and the vacuous interval, beside the proportions of plain and carried values
+    assert any(o.startswith("InfiniteEvidenceError") for o in grid["positive_proportion"])
+    assert any(o.startswith("ZeroEvidenceError") for o in grid["positive_proportion"])
 
 
 @pytest.mark.parametrize(
