@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ValidationError, _Value, parse_object
+from .errors import _NOT_REAL, ValidationError, _real, _Value, parse_object
 
 #: Tolerance for the sum-to-one invariant; inputs inside it are renormalized
 #: (serialized values accumulate decimal rounding noise).
@@ -21,7 +21,7 @@ SUM_TOLERANCE = 1e-12
 
 def _clamp_unit(value: float, name: str) -> float:
     """Coerce a real into [0, 1], allowing SUM_TOLERANCE of rounding slack."""
-    value = float(value)
+    value = _real(value, name)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be a finite real, got {value!r}")
     if value < 0.0:
@@ -56,9 +56,12 @@ class MassAssignment(_Value):
     _fields = ("m_h", "m_not_h", "m_theta")
 
     def __init__(self, m_h: float, m_not_h: float, m_theta: float):
-        # field by field, so a bad field raises in _clamp_unit before a later one is converted
-        if not (0.0 <= (h := float(m_h)) <= 1.0 and 0.0 <= (nh := float(m_not_h)) <= 1.0
-                and 0.0 <= (th := float(m_theta)) <= 1.0):
+        try:
+            h, nh, th = float(m_h), float(m_not_h), float(m_theta)
+        except _NOT_REAL:
+            h = nh = th = math.nan
+        if not (0.0 <= h <= 1.0 and 0.0 <= nh <= 1.0 and 0.0 <= th <= 1.0):
+            # field by field: the first field that is not a real in [0, 1] raises
             h, nh, th = _clamp_unit(m_h, "m_h"), _clamp_unit(m_not_h, "m_not_h"), _clamp_unit(m_theta, "m_theta")
         total = h + nh + th
         if abs(total - 1.0) > SUM_TOLERANCE:
@@ -86,13 +89,13 @@ class MassAssignment(_Value):
 class BeliefInterval(_Value):
     """The pair (Bel({H}), Pl({H})); bel == pl is the Bayesian special case.
 
-    A value built from weights by belief_from_weights also carries its
-    complement 1 - pl and its width pl - bel as that map computed them, each
-    to full relative precision; stored pl = bel + width is rounded, and
-    rebuilding either part from (bel, pl) cancels near 1.  masses() hands
-    out the carried parts where they exist.  Equality, hash, repr and the
-    {"bel", "pl"} wire format stay on (bel, pl) only, so a weight-built value
-    equals the plain BeliefInterval(bel, pl) of the same pair.
+    A value built by belief_from_weights, belpl_from_lu or combine_interval
+    also carries its complement 1 - pl and its width pl - bel as that map
+    computed them, each to full relative precision; the stored pl is
+    rounded, and rebuilding either part from (bel, pl) cancels near 1.
+    masses() hands out the carried parts where they exist.  Equality, hash,
+    repr and the {"bel", "pl"} wire format stay on (bel, pl) only, so a
+    carrying value equals the plain BeliefInterval(bel, pl) of the same pair.
     """
 
     _fields = ("bel", "pl")
@@ -102,7 +105,10 @@ class BeliefInterval(_Value):
     _carried = None
 
     def __init__(self, bel: float, pl: float):
-        bel, pl = float(bel), float(pl)
+        try:
+            bel, pl = float(bel), float(pl)
+        except _NOT_REAL:
+            bel, pl = _real(bel, "bel"), _real(pl, "pl")
         if not 0.0 <= bel <= pl <= 1.0:
             bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
         fields = self.__dict__
@@ -118,11 +124,19 @@ class BeliefInterval(_Value):
         return cls(0.0, 1.0)
 
     @classmethod
-    def _carrying(cls, bel: float, m_not_h: float, m_theta: float) -> BeliefInterval:
-        """The interval (bel, bel + m_theta), carrying m_not_h and m_theta."""
-        iv = cls(bel, bel + m_theta)
+    def _carrying(cls, bel: float, pl: float, m_not_h: float, m_theta: float) -> BeliefInterval:
+        """The interval (bel, pl) of floats, carrying m_not_h = 1 - pl and m_theta = pl - bel.
+
+        Repairs the pair as __init__ does, and writes every slot in one pass.
+        """
+        if not 0.0 <= bel <= pl <= 1.0:
+            bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
+        iv = object.__new__(cls)
+        fields = iv.__dict__
+        fields["bel"] = bel
+        fields["pl"] = pl
         # not in _fields, so it stays out of ==, hash and repr
-        iv.__dict__["_carried"] = (m_not_h, m_theta)
+        fields["_carried"] = (m_not_h, m_theta)
         return iv
 
     def masses(self) -> tuple[float, float, float]:

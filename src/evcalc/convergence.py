@@ -28,7 +28,7 @@ from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .binary_frame import SUM_TOLERANCE, _unit_pair
-from .errors import ValidationError, _is_whole, _real, _Value
+from .errors import ValidationError, _is_whole, _real, _shown, _Value
 from .evidence_scale import UnitWeights, _belief_parts, classify_limit, delta_limit, support_from_weight
 from .rng import _LANES, _bernoulli_blocks, _check_seed
 
@@ -52,22 +52,22 @@ class StreamSpec(_Value):
         outcomes: tuple[bool, ...] | None = None,
     ):
         if mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+            raise ValidationError(f"mode must be one of {MODES}, got {_shown(mode)}")
         if mode == "explicit":
             # None is not Iterable; a str is, but every character of it would be a positive
             if not isinstance(outcomes, Iterable) or isinstance(outcomes, str):
-                raise ValidationError(f"explicit mode needs an outcomes sequence, got {outcomes!r}")
+                raise ValidationError(f"explicit mode needs an outcomes sequence, got {_shown(outcomes)}")
             outcomes = tuple(outcomes)
             for o in outcomes:  # bool(o) would make a positive of "0" or of the byte b"0"[0]
                 if type(o) not in (bool, int) or o not in (0, 1):
-                    raise ValidationError(f"explicit outcomes must be booleans or the ints 0 and 1, got {o!r}")
+                    raise ValidationError(f"explicit outcomes must be booleans or the ints 0 and 1, got {_shown(o)}")
             outcomes = tuple(map(bool, outcomes))
             if steps is not None and steps != len(outcomes):
-                raise ValidationError(f"steps={steps} does not match {len(outcomes)} explicit outcomes")
+                raise ValidationError(f"steps={_shown(steps)} does not match {len(outcomes)} explicit outcomes")
             steps = len(outcomes)
         else:
             if steps is None or not _is_whole(steps) or steps < 0:
-                raise ValidationError(f"steps must be a nonnegative integer, got {steps!r}")
+                raise ValidationError(f"steps must be a nonnegative integer, got {_shown(steps)}")
             steps = int(steps)
             if mode in ("bernoulli", "frequency_faithful"):
                 q = _real(q, "q")
@@ -79,7 +79,7 @@ class StreamSpec(_Value):
                 d = _real(delta, "delta")
                 if not d.is_integer() or d < 0.0:
                     raise ValidationError(
-                        f"delta_profile supports only integer delta >= 0 under unit weights, got {delta!r}"
+                        f"delta_profile supports only integer delta >= 0 under unit weights, got {_shown(delta)}"
                     )
                 delta = d
         seed = _check_seed(seed)  # checked and stored as an int in every mode, used or not
@@ -186,7 +186,7 @@ def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1)
     """The rows of run_dual_track as (t, t_plus, bel, pl, l, u, f) tuples,
     produced lazily; the arguments are checked before the first row."""
     if not _is_whole(record_every) or record_every < 1:
-        raise ValidationError(f"record_every must be a positive integer, got {record_every!r}")
+        raise ValidationError(f"record_every must be a positive integer, got {_shown(record_every)}")
     # a whole float such as 2000.0 would not index bytes.count, and islice takes no stride above
     # sys.maxsize: any stride past the run records only the start and final rows, as steps + 1 does
     record_every = min(int(record_every), spec.steps + 1)

@@ -1,9 +1,9 @@
 """Dempster's rule of combination on the two-hypothesis frame.
 
-Both the mass form and the equivalent (bel, pl) interval form are provided,
-together with Bernoulli's special case for same-direction simple supports.
-Total conflict (all pooled mass on the empty set) is an error, not
-an absorbed state: the normalization constant is undefined there.
+The mass form and the (bel, pl) interval form call one rule body, stated on
+masses; Bernoulli's special case for same-direction simple supports is here
+too.  Total conflict (all pooled mass on the empty set) is an error, not an
+absorbed state: the normalization constant is undefined there.
 """
 
 from __future__ import annotations
@@ -16,40 +16,42 @@ from .errors import TotalConflictError, ValidationError, _real
 CONFLICT_TOLERANCE = 1e-12
 
 
-def combine_mass(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
-    """Combine two mass assignments, renormalizing away conflicting mass."""
-    conflict = m1.m_h * m2.m_not_h + m1.m_not_h * m2.m_h
+def _pool(first, second, masses1: tuple, masses2: tuple) -> tuple[float, float, float]:
+    """Pooled masses on {H}, {not-H} and the frame of the operands first and
+    second, whose masses are the triples masses1 and masses2, normalized."""
+    h1, n1, t1 = masses1
+    h2, n2, t2 = masses2
+    conflict = h1 * n2 + n1 * h2
     if 1.0 - conflict < CONFLICT_TOLERANCE:
-        raise TotalConflictError(m1, m2)
-    h, nh, th = _mass_products(m1.m_h, m1.m_not_h, m1.m_theta, m2.m_h, m2.m_not_h, m2.m_theta)
+        raise TotalConflictError(first, second)
+    h, nh, th = h1 * h2 + h1 * t2 + t1 * h2, n1 * n2 + n1 * t2 + t1 * n2, t1 * t2
     # near total conflict 1 - conflict is all cancellation; the positive part
     # sum is the same normalizer without it
     denom = 1.0 - conflict if conflict <= 0.5 else h + nh + th
-    return MassAssignment(h / denom, nh / denom, th / denom)
+    return h / denom, nh / denom, th / denom
+
+
+def combine_mass(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
+    """Combine two mass assignments, renormalizing away conflicting mass."""
+    return MassAssignment(*_pool(m1, m2, (m1.m_h, m1.m_not_h, m1.m_theta), (m2.m_h, m2.m_not_h, m2.m_theta)))
 
 
 def combine_interval(x1: BeliefInterval, x2: BeliefInterval) -> BeliefInterval:
-    """Same rule acting on (bel, pl) pairs directly.
+    """Same rule on (bel, pl) pairs, through their masses() (bel, 1 - pl, pl - bel).
 
-    Agrees with combine_mass through the mass/interval bijection; the vacuous
-    interval (0, 1) is a two-sided identity.
+    The result carries the pooled complement and width, so a chain of
+    combinations keeps 1 - pl to full relative precision.  The vacuous
+    interval (0, 1) is a two-sided identity: the other operand comes back.
     """
-    bel1, pl1, bel2, pl2 = x1.bel, x1.pl, x2.bel, x2.pl
-    conflict = bel1 * (1.0 - pl2) + bel2 * (1.0 - pl1)
-    if 1.0 - conflict < CONFLICT_TOLERANCE:
-        raise TotalConflictError(x1, x2)
-    if conflict <= 0.5:
-        denom = 1.0 - conflict
-        return BeliefInterval((bel1 * pl2 + bel2 * pl1 - bel1 * bel2) / denom, (pl1 * pl2) / denom)
-    # high-conflict regime: normalize by the part sum, as in combine_mass
-    h, nh, th = _mass_products(bel1, 1.0 - pl1, pl1 - bel1, bel2, 1.0 - pl2, pl2 - bel2)
-    denom = h + nh + th
-    return BeliefInterval(h / denom, (h + th) / denom)
-
-
-def _mass_products(h1: float, n1: float, t1: float, h2: float, n2: float, t2: float) -> tuple[float, float, float]:
-    """Unnormalized pooled masses on {H}, {not-H} and the frame; conflict left out."""
-    return h1 * h2 + h1 * t2 + t1 * h2, n1 * n2 + n1 * t2 + t1 * n2, t1 * t2
+    if x1.bel == 0.0 and x1.pl == 1.0:
+        return x2
+    if x2.bel == 0.0 and x2.pl == 1.0:
+        return x1
+    h, nh, th = _pool(x1, x2, x1.masses(), x2.masses())
+    # renormalized as a MassAssignment is: the 1 - conflict normalizer keeps the
+    # operands' rounding in the sum, which a chain would amplify; pl = 1 when nh = 0
+    total = h + nh + th
+    return BeliefInterval._carrying(h / total, (h + th) / total, nh / total, th / total)
 
 
 def bernoulli_combine(s1: float, s2: float) -> float:

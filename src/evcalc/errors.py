@@ -24,20 +24,39 @@ class ZeroEvidenceError(ValueError):
     """The operation is undefined before any evidence has been observed."""
 
 
+#: What float() and int() raise for a value that is not a real number: None
+#: or a list, a string such as "x", an int too large for a float.
+_NOT_REAL = (TypeError, ValueError, OverflowError)
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, or a short stand-in where repr itself
+    raises: an int past the interpreter's digit limit for str(), a container
+    holding one, or a container nested past the recursion limit."""
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"<{type(value).__name__} too large to show>"
+
+
 def _is_whole(x) -> bool:
     """x == int(x), where nan, inf and non-numbers such as None (int() raises) are not whole."""
     try:
         return int(x) == x
-    except (TypeError, ValueError, OverflowError):
+    except _NOT_REAL:
         return False
 
 
 def _real(value, name: str) -> float:
-    """float(value), where a value float() rejects (None, "x", a list) is a ValidationError naming the field."""
+    """float(value), where a value float() rejects (None, "x", a list, 10**400) is a ValidationError naming the field.
+
+    A constructor whose bare float() calls raise calls this on each field in
+    order, so that the first bad field is the one named.
+    """
     try:
         return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a real number, got {value!r}") from None
+    except _NOT_REAL:
+        raise ValidationError(f"{name} must be a real number, got {_shown(value)}") from None
 
 
 def parse_object(what: str, data, build):
@@ -46,8 +65,8 @@ def parse_object(what: str, data, build):
         return build(data)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
-        raise ValidationError(f"bad {what} object: {data!r}") from exc
+    except (KeyError, *_NOT_REAL) as exc:
+        raise ValidationError(f"bad {what} object: {_shown(data)}") from exc
 
 
 class _Value:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval
-from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _Value, parse_object
+from .errors import (
+    _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _shown, _Value, parse_object,
+)
 
 #: Exact-tie tolerance for the limit classification.
 TIE_TOLERANCE = 1e-12
@@ -40,7 +42,10 @@ class EvidenceWeights(_Value):
         if kind == FINITE:
             if w_plus is None or w_minus is None:
                 raise ValidationError("finite weights need both w_plus and w_minus")
-            wp, wm = float(w_plus), float(w_minus)
+            try:
+                wp, wm = float(w_plus), float(w_minus)
+            except _NOT_REAL:
+                wp, wm = _real(w_plus, "w_plus"), _real(w_minus, "w_minus")
             if not (0.0 <= wp < math.inf and 0.0 <= wm < math.inf):
                 if not (math.isfinite(wp) and math.isfinite(wm)) or wp < -SUM_TOLERANCE or wm < -SUM_TOLERANCE:
                     raise ValidationError(f"weights must be finite and nonnegative, got ({w_plus!r}, {w_minus!r})")
@@ -49,12 +54,12 @@ class EvidenceWeights(_Value):
         elif kind == INFINITE:
             if delta is None:
                 raise ValidationError("infinite weights need delta, the w_minus - w_plus limit")
-            delta = float(delta)
+            delta = _real(delta, "delta")
             if math.isnan(delta):
                 raise ValidationError("delta must not be NaN")
             w_plus = w_minus = None
         else:
-            raise ValidationError(f"unknown weights kind {kind!r}")
+            raise ValidationError(f"unknown weights kind {_shown(kind)}")
         fields = self.__dict__
         fields["kind"] = kind
         fields["w_plus"] = w_plus
@@ -86,7 +91,7 @@ class EvidenceWeights(_Value):
                 return cls.finite(float(d["w_plus"]), float(d["w_minus"]))
             if kind == INFINITE:
                 return cls.infinite(float(d["delta"]))
-            raise ValidationError(f"unknown weights kind {kind!r}")
+            raise ValidationError(f"unknown weights kind {_shown(kind)}")
         return parse_object("weights", data, build)
 
 
@@ -130,7 +135,8 @@ def belief_from_weights(w: EvidenceWeights) -> BeliefInterval:
     Bayesian point 1 / (1 + e^{delta}), which carries nothing.
     """
     if w.kind == FINITE:
-        return BeliefInterval._carrying(*_belief_parts(w.w_plus, w.w_minus))
+        bel, m_not_h, width = _belief_parts(w.w_plus, w.w_minus)
+        return BeliefInterval._carrying(bel, bel + width, m_not_h, width)
     point = delta_limit(w.delta)
     return BeliefInterval(point, point)
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 
 from .binary_frame import BeliefInterval, _unit_pair
-from .errors import InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _Value, parse_object
+from .errors import (
+    _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _shown, _Value, parse_object,
+)
 from .evidence_scale import FINITE, EvidenceWeights, _belief_parts, _finite_weights, delta_limit, weights_from_belief
 
 #: Two points closer than this are the same convention.
@@ -29,7 +31,10 @@ class FrequencyInterval(_Value):
     _fields = ("l", "u")
 
     def __init__(self, l: float, u: float):
-        l, u = float(l), float(u)
+        try:
+            l, u = float(l), float(u)
+        except _NOT_REAL:
+            l, u = _real(l, "l"), _real(u, "u")
         if not 0.0 <= l <= u <= 1.0:
             l, u = _unit_pair(l, u, "l", "u", POINT_TOLERANCE)
         fields = self.__dict__
@@ -65,7 +70,7 @@ class FrequencyInterval(_Value):
                 return cls.point(float(d["value"]))
             if kind == KIND_INTERVAL:
                 return cls(float(d["l"]), float(d["u"]))
-            raise ValidationError(f"unknown frequency kind {kind!r}")
+            raise ValidationError(f"unknown frequency kind {_shown(kind)}")
         return parse_object("frequency", data, build)
 
 
@@ -75,7 +80,10 @@ class EvidenceCounts(_Value):
     _fields = ("w_plus", "w_total")
 
     def __init__(self, w_plus: float, w_total: float):
-        wp, wt = float(w_plus), float(w_total)
+        try:
+            wp, wt = float(w_plus), float(w_total)
+        except _NOT_REAL:
+            wp, wt = _real(w_plus, "w_plus"), _real(w_total, "w_total")
         if not 0.0 <= wp <= wt < math.inf:
             wp, wt = _check_counts(wp, wt)
         fields = self.__dict__
@@ -253,4 +261,5 @@ def belpl_from_lu(fi: FrequencyInterval) -> BeliefInterval:
     if not 0.0 <= wp <= wt < math.inf:
         wp, wt = _check_counts(wp, wt)
     # checked counts give weights that pass EvidenceWeights' check
-    return BeliefInterval._carrying(*_belief_parts(wp, wt - wp))
+    bel, m_not_h, width = _belief_parts(wp, wt - wp)
+    return BeliefInterval._carrying(bel, bel + width, m_not_h, width)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .errors import ValidationError, _is_whole
+from .errors import ValidationError, _is_whole, _shown
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -53,7 +53,7 @@ class SplitMix64:
 def _check_seed(seed) -> int:
     """int(seed) for a whole seed in [0, 2**64); any other would alias one of those."""
     if not _is_whole(seed) or not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ValidationError(f"seed must be an integer in [0, 2**64), got {_shown(seed)}")
     return int(seed)
 
 

@@ -12,6 +12,7 @@ from evcalc import (
     ValidationError,
     interval_to_mass,
     mass_to_interval,
+    support_from_weight,
 )
 from strategies import belief_intervals, mass_assignments
 
@@ -136,3 +137,43 @@ def test_bad_json_rejected(cls, what, valid, case):
     assert cls.from_dict(valid).to_dict() == valid
     with pytest.raises(ValidationError, match=f"^bad {what} object: "):
         cls.from_dict(_malformed(valid, case))
+
+
+# (constructor, its fields in order, valid values for them)
+CONSTRUCTORS = [
+    (BeliefInterval, ("bel", "pl"), (0.2, 0.7)),
+    (MassAssignment, ("m_h", "m_not_h", "m_theta"), (0.2, 0.3, 0.5)),
+    (EvidenceWeights.finite, ("w_plus", "w_minus"), (1.0, 2.0)),
+    (EvidenceWeights.infinite, ("delta",), (1.0,)),
+    (FrequencyInterval, ("l", "u"), (0.3, 0.5)),
+    (EvidenceCounts, ("w_plus", "w_total"), (6.0, 10.0)),
+]
+
+
+@pytest.mark.parametrize("bad", [None, "x", [1], 10**400], ids=["None", "str", "list", "int_past_float_range"])
+@pytest.mark.parametrize("ctor, names, valid", CONSTRUCTORS, ids=[c[0].__qualname__ for c in CONSTRUCTORS])
+def test_the_first_field_that_is_not_a_real_number_is_named(ctor, names, valid, bad):
+    for i, name in enumerate(names):
+        args = (*valid[:i], *[bad] * (len(names) - i))  # field i is the first bad one
+        with pytest.raises(ValidationError) as info:
+            ctor(*args)
+        if bad is None and ctor in (EvidenceWeights.finite, EvidenceWeights.infinite):  # a weight left out
+            assert str(info.value).startswith(("finite weights need both", "infinite weights need delta"))
+        else:
+            assert str(info.value).startswith(f"{name} must be a real number, got ")
+
+
+def test_a_value_that_cannot_be_shown_is_still_a_validation_error():
+    # repr of an int of more than 4300 digits raises, and so does repr of a
+    # list nested past the recursion limit: the message cannot show either
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(ValidationError, match="^bad belief interval object: "):
+        BeliefInterval.from_dict(deep)
+    with pytest.raises(ValidationError, match="^bad counts object: "):
+        EvidenceCounts.from_dict({"w_plus": 1, "w_total": 10**5000})
+    with pytest.raises(ValidationError, match="^weight must be a real number, got "):
+        support_from_weight(10**5000)
+    with pytest.raises(ValidationError, match="^unknown weights kind "):
+        EvidenceWeights(10**5000)

@@ -116,7 +116,7 @@ def test_mass_assignment_raises_for_the_first_bad_field():
     # a bad first field is reported before a later one that float() rejects
     for later in (None, "x", [1]):
         assert outcome(MassAssignment, math.nan, later, 0.0) == (ValidationError, "m_h must be a finite real, got nan")
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError):
         MassAssignment(0.5, None, 0.5)
 
 

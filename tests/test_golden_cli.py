@@ -18,10 +18,21 @@ Dempster combination, the demos' `final_bel` (and `final_pl` and the gaps
 with it) moved by a few ulps onto the exact value: `delta-demo --delta 2`
 ends on 0.11920292202211755, the analytic limit, where the iterated fold
 gave 0.11920292202211752; `defect-demo-default` did not move.
+
+Since combine_interval works in mass coordinates, `combine-dempster-three`
+prints bel 0.40298507462686567, the float nearest 27/67, where the (bel, pl)
+form printed 0.4029850746268657;
+test_combine_dempster_three_is_near_a_200_bit_reference checks both of its
+printed values against the rule evaluated to 61 digits.
 """
+
+import json
+from functools import reduce
 
 import pytest
 
+import highprec
+from evcalc import BeliefInterval
 from evcalc.cli import main
 
 # (id, argv, exit code, stdout, stderr)
@@ -145,7 +156,7 @@ CASES = [
     ('combine-lu-malformed', ['combine', '--rule', 'lu', '{"kind":"interval","l":0.3,"u":0.5}', '{"kind":"interval","l":0.3}'],
      1, '', "error: bad frequency object: {'kind': 'interval', 'l': 0.3}\n"),
     ('combine-dempster-three', ['combine', '--rule', 'dempster', '{"bel":0.2,"pl":0.7}', '{"bel":0.5,"pl":1}', '{"bel":0,"pl":0.6}'],
-     0, '{"bel": 0.4029850746268657, "pl": 0.626865671641791}\n', ''),
+     0, '{"bel": 0.40298507462686567, "pl": 0.626865671641791}\n', ''),
     ('combine-dempster-malformed', ['combine', '--rule', 'dempster', '{"bel":0.2,"pl":0.7}', '42'],
      1, '', 'error: bad belief interval object: 42\n'),
     ('defect-demo-default', ['defect-demo'],
@@ -168,3 +179,16 @@ def test_cli_output_is_unchanged(capsys, argv, code, out, err):
     assert main(list(argv)) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+def test_combine_dempster_three_is_near_a_200_bit_reference(capsys):
+    # the rule on the operands' masses, folded at 61 digits: each printed
+    # value is the float nearest it
+    argv = next(case[1] for case in CASES if case[0] == "combine-dempster-three")
+    assert main(list(argv)) == 0
+    got = json.loads(capsys.readouterr().out)
+    operands = [BeliefInterval.from_dict(json.loads(arg)).masses() for arg in argv[3:]]
+    bel, _, width = reduce(highprec.dempster, operands)
+    with highprec.context():
+        pl = bel + width
+    assert highprec.ulps(got["bel"], bel) <= 0.5 and highprec.ulps(got["pl"], pl) <= 0.5

@@ -13,10 +13,10 @@ must reproduce them all exactly; a changed digit anywhere fails here.
 SIMULATE_CASES pin whole `evcalc simulate` calls (exit code, sha256 of
 stdout, exact stderr).  They cover a Bernoulli run whose Dempster track
 saturates at (1, 1), a faithful run at q below 2/3 (where chains of
-combine_interval cycle a few ulps from (1, 1) instead), and two runs with
-heavy unit weights.  The iterated fold met a total conflict in the last of
-these after four rows; the closed form of finite weights never does, so it
-now runs to its end.  The first two and the stderr of the third were taken
+combine_interval cycled a few ulps from (1, 1) while they did not carry
+1 - pl), and two runs with heavy unit weights.  The iterated fold met a
+total conflict in the last of these after four rows; the closed form of
+finite weights never does, so it now runs to its end.  The first two and the stderr of the third were taken
 from the iterated fold and still hold.
 The last three tests send the "faithful" case through `evcalc simulate`'s
 stdout, its --out file and a text-only stdout (an io.StringIO), and pin
@@ -27,9 +27,11 @@ import contextlib
 import hashlib
 import io
 import sys
+from decimal import Decimal
 
 import pytest
 
+import highprec
 from evcalc import StreamSpec, UnitWeights, run_dual_track
 from evcalc.cli import main
 
@@ -98,22 +100,23 @@ REPINNED = ["bernoulli", "asymmetric_bernoulli", "asymmetric_faithful", "record_
 # room than l, u and f, which are a few roundings of wp and w; a value that
 # underflows is off by less than the smallest normal float instead
 BEL_PL_REL, LU_F_REL = 1e-13, 2.0**-51
+_FLOAT_MIN = Decimal(sys.float_info.min)
 
 
 @pytest.mark.parametrize("kwargs,weights,record_every", [c[1:4] for c in CASES if c[0] in REPINNED],
                          ids=[c[0] for c in CASES if c[0] in REPINNED])
 def test_repinned_rows_are_near_a_200_bit_reference(kwargs, weights, record_every):
-    mpmath = pytest.importorskip("mpmath")
-    ctx = mpmath.mp.clone()
-    ctx.prec = 200
-    w0_plus, w0_minus = map(ctx.mpf, weights)
+    w0_plus, w0_minus = map(Decimal, weights)
     rows = run_dual_track(StreamSpec(**kwargs), UnitWeights(*weights), record_every).rows
-    for row in rows[1:]:
-        wp, wm = row.t_plus * w0_plus, (row.t - row.t_plus) * w0_minus  # exact at 200 bits
-        w, denom = wp + wm, ctx.exp(wp) + ctx.exp(wm) - 1
-        want = (ctx.expm1(wp) / denom, ctx.exp(wp) / denom, wp / (w + 1), (wp + 1) / (w + 1), wp / w)
-        for got, exact, rel in zip(row[2:], want, (BEL_PL_REL,) * 2 + (LU_F_REL,) * 3):
-            assert abs(got - exact) <= rel * exact + sys.float_info.min, (row, exact)
+    with highprec.context():
+        bounds = [Decimal(rel) for rel in (BEL_PL_REL,) * 2 + (LU_F_REL,) * 3]
+        for row in rows[1:]:
+            wp, wm = row.t_plus * w0_plus, (row.t - row.t_plus) * w0_minus  # exact at 61 digits
+            w = wp + wm
+            bel, _, width = highprec.belief(wp, wm)
+            want = (bel, bel + width, wp / (w + 1), (wp + 1) / (w + 1), wp / w)
+            for got, exact, rel in zip(row[2:], want, bounds):
+                assert abs(Decimal(got) - exact) <= rel * exact + _FLOAT_MIN, (row, exact)
 
 
 def test_cli_out_file_and_summary_match_golden(capsys, tmp_path):

@@ -8,14 +8,22 @@ result is encoded by float.hex of every field and of BeliefInterval's
 carried complement and width, a raised error by its class and message, and
 each group of calls is pinned by one sha256.  A change that moves one bit
 of one output, or turns a repair into an error, fails here.
+
+The combine_interval digest was re-pinned when that rule moved to mass
+coordinates and its results began to carry their complement and width;
+test_combine_interval_grid_is_near_a_200_bit_reference checks every one of
+those outcomes against the rule evaluated by highprec.
 """
 
 import hashlib
 import math
 import random
+from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
+import highprec
 from evcalc import (
     BeliefInterval,
     EvidenceCounts,
@@ -116,7 +124,8 @@ def _built(ctor, args_list) -> list:
     return values
 
 
-def _grid(seed: int = 20131) -> dict[str, list[str]]:
+def _inputs(seed: int = 20131) -> SimpleNamespace:
+    """The grid's inputs, drawn in one fixed order from one seeded RNG."""
     rng = random.Random(seed)
     pairs, weights, counts = _pairs(rng), _weights(rng), _counts(rng)
     masses = _masses(pairs, rng)
@@ -127,29 +136,38 @@ def _grid(seed: int = 20131) -> dict[str, list[str]]:
     shuffled = rng.sample(intervals, len(intervals))
     shuffled_masses = rng.sample(masses, len(masses))
     shuffled_freq = rng.sample(frequencies, len(frequencies))
+    return SimpleNamespace(
+        pairs=pairs, weights=weights, counts=counts, masses=masses, intervals=intervals, frequencies=frequencies,
+        finite=finite, value_counts=value_counts, built=built, infinite=infinite,
+        shuffled=shuffled, shuffled_masses=shuffled_masses, shuffled_freq=shuffled_freq,
+    )
+
+
+def _grid() -> dict[str, list[str]]:
+    v = _inputs()
     grid = {
-        "BeliefInterval": [_outcome(BeliefInterval, *p) for p in pairs],
-        "FrequencyInterval": [_outcome(FrequencyInterval, *p) for p in pairs],
-        "MassAssignment": [_outcome(MassAssignment, *m) for m in masses],
-        "EvidenceWeights.finite": [_outcome(EvidenceWeights.finite, *w) for w in weights],
-        "EvidenceCounts": [_outcome(EvidenceCounts, *c) for c in counts],
+        "BeliefInterval": [_outcome(BeliefInterval, *p) for p in v.pairs],
+        "FrequencyInterval": [_outcome(FrequencyInterval, *p) for p in v.pairs],
+        "MassAssignment": [_outcome(MassAssignment, *m) for m in v.masses],
+        "EvidenceWeights.finite": [_outcome(EvidenceWeights.finite, *w) for w in v.weights],
+        "EvidenceCounts": [_outcome(EvidenceCounts, *c) for c in v.counts],
         # high-conflict, low-conflict and Bayesian point pairs, in one shuffle
-        "combine_interval": [_outcome(combine_interval, a, b) for a, b in zip(intervals, shuffled)],
+        "combine_interval": [_outcome(combine_interval, a, b) for a, b in zip(v.intervals, v.shuffled)],
         "combine_mass": [
             _outcome(lambda a, b: combine_mass(MassAssignment(*a), MassAssignment(*b)), a, b)
-            for a, b in zip(masses, shuffled_masses)
+            for a, b in zip(v.masses, v.shuffled_masses)
         ],
-        "combine_lu": [_outcome(combine_lu, a, b) for a, b in zip(frequencies, shuffled_freq)],
-        "belief_from_weights": [_outcome(belief_from_weights, w) for w in finite + infinite],
-        "weights_from_belief": [_outcome(weights_from_belief, iv) for iv in intervals + built],
-        "lu_from_belpl": [_outcome(lu_from_belpl, iv) for iv in intervals + built],
-        "belpl_from_lu": [_outcome(belpl_from_lu, fi) for fi in frequencies],
-        "interval_from_counts": [_outcome(interval_from_counts, c) for c in value_counts],
-        "counts_from_interval": [_outcome(counts_from_interval, fi) for fi in frequencies],
-        "weights_from_counts": [_outcome(weights_from_counts, c) for c in value_counts],
-        "counts_from_weights": [_outcome(counts_from_weights, w) for w in finite + infinite],
-        "lu_from_weights": [_outcome(lu_from_weights, w) for w in finite + infinite],
-        "positive_proportion": [_outcome(positive_proportion, iv) for iv in intervals + built],
+        "combine_lu": [_outcome(combine_lu, a, b) for a, b in zip(v.frequencies, v.shuffled_freq)],
+        "belief_from_weights": [_outcome(belief_from_weights, w) for w in v.finite + v.infinite],
+        "weights_from_belief": [_outcome(weights_from_belief, iv) for iv in v.intervals + v.built],
+        "lu_from_belpl": [_outcome(lu_from_belpl, iv) for iv in v.intervals + v.built],
+        "belpl_from_lu": [_outcome(belpl_from_lu, fi) for fi in v.frequencies],
+        "interval_from_counts": [_outcome(interval_from_counts, c) for c in v.value_counts],
+        "counts_from_interval": [_outcome(counts_from_interval, fi) for fi in v.frequencies],
+        "weights_from_counts": [_outcome(weights_from_counts, c) for c in v.value_counts],
+        "counts_from_weights": [_outcome(counts_from_weights, w) for w in v.finite + v.infinite],
+        "lu_from_weights": [_outcome(lu_from_weights, w) for w in v.finite + v.infinite],
+        "positive_proportion": [_outcome(positive_proportion, iv) for iv in v.intervals + v.built],
     }
     for name, outcomes in grid.items():
         assert len(outcomes) >= 40, name
@@ -162,7 +180,7 @@ GOLDEN = {
     "MassAssignment": "2c8e6f75a0cc215cdf80ee7841a4dfd2397dcb686d7b4b2bdf375e24aa2812e8",
     "EvidenceWeights.finite": "4ab0576b32e7c8bcf43ec7fe5e711f45d2c0f61bb3e3c2b6ddc3307fc425b09c",
     "EvidenceCounts": "c7ec797cab0fffb12d9e4646288053ee77de17503082536c6ee97afc7828edb3",
-    "combine_interval": "d912400c2d882ca03cc418b5c19ed18ee6c9f19f630a95f851b9fe0fdd9adda5",
+    "combine_interval": "4cd8739ebd30decccaaf6a82b789a6bc367e72d73fc70d216d1b8dac428c5a89",
     "combine_mass": "bf2e67a2a8d455cf9ddf6567d9910499f2c30abdce88c5d82743a26684182a89",
     "combine_lu": "4fefa96be5ca064e2b468af463a5a14e0eeb1caabcbdc678c9ab7cfb2d5e1f0a",
     "belief_from_weights": "a74332027d9dc840fe9805db7cf1c8bcab47cdf1ca6027e7266bbab3e6ff0161",
@@ -236,3 +254,20 @@ def test_edge_results_are_pinned():
     # -1e-13 is inside the slack: clamped to 0, then the sum renormalized
     m = MassAssignment(0.5, 0.5 + 1e-13, -1e-13)
     assert _encode(m) == "MassAssignment(0x1.ffffffffffc7cp-2,0x1.00000000001c3p-1,0x0.0p+0;None)"
+
+
+def test_combine_interval_grid_is_near_a_200_bit_reference():
+    # each pooled value against the rule on its operands' masses at 61
+    # digits: every carried part within 2**-51 relative (derived from
+    # (bel, pl) by subtraction they erred by up to 2.4e-14), bel and pl
+    # within 2 ulps (measured: 2.6e-16 and 1.48 ulps)
+    v = _inputs()
+    bound, smallest = Decimal(2.0**-51), Decimal(2.0**-1022)
+    for a, b in zip(v.intervals, v.shuffled):
+        got = combine_interval(a, b)
+        bel, m_not_h, width = exact = highprec.dempster(a.masses(), b.masses())
+        with highprec.context():
+            for part, want in zip(got.masses(), exact):
+                assert abs(Decimal(part) - want) <= bound * want + smallest, (a, b, got.masses(), exact)
+            pl = bel + width
+        assert highprec.ulps(got.bel, bel) <= 2 and highprec.ulps(got.pl, pl) <= 2, (a, b, got, exact)
