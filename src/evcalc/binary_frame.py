@@ -5,7 +5,8 @@ frame (the empty set carries none).  At this frame size the induced belief
 and plausibility functions collapse to the single pair (Bel({H}), Pl({H})),
 so both forms are kept as first-class, losslessly convertible value types:
 the combination rule is naturally stated on masses, while most reasoning and
-all the weight-of-evidence machinery works on intervals.
+all the weight-of-evidence machinery works on intervals.  The module-level
+_carrying builds every interval that carries its masses, for every module.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ class MassAssignment(_Value):
             # field by field: the first field that is not a real in [0, 1] raises
             h, nh, th = _clamp_unit(m_h, "m_h"), _clamp_unit(m_not_h, "m_not_h"), _clamp_unit(m_theta, "m_theta")
         total = h + nh + th
-        if abs(total - 1.0) > SUM_TOLERANCE:
-            raise ValidationError(f"masses must sum to 1, got {total!r}")
         if total != 1.0:
+            if not -SUM_TOLERANCE <= total - 1.0 <= SUM_TOLERANCE:
+                raise ValidationError(f"masses must sum to 1, got {total!r}")
             h, nh, th = h / total, nh / total, th / total
         fields = self.__dict__
         fields["m_h"] = h
@@ -89,10 +90,10 @@ class MassAssignment(_Value):
 class BeliefInterval(_Value):
     """The pair (Bel({H}), Pl({H})); bel == pl is the Bayesian special case.
 
-    A value built by belief_from_weights, belpl_from_lu or combine_interval
-    also carries its complement 1 - pl and its width pl - bel as that map
-    computed them, each to full relative precision; the stored pl is
-    rounded, and rebuilding either part from (bel, pl) cancels near 1.
+    A value built by belief_from_weights, belpl_from_lu, combine_interval or
+    mass_to_interval also carries its complement 1 - pl and its width pl - bel
+    as that map computed them, each to full relative precision; the stored
+    pl is rounded, and rebuilding either part from (bel, pl) cancels near 1.
     masses() hands out the carried parts where they exist.  Equality, hash,
     repr and the {"bel", "pl"} wire format stay on (bel, pl) only, so a
     carrying value equals the plain BeliefInterval(bel, pl) of the same pair.
@@ -100,8 +101,8 @@ class BeliefInterval(_Value):
 
     _fields = ("bel", "pl")
 
-    # (1 - pl, pl - bel) as carried, set only by _carrying(); plain values
-    # derive both parts from (bel, pl)
+    # (1 - pl, pl - bel) as carried, set only by the module's _carrying();
+    # plain values derive both parts from (bel, pl)
     _carried = None
 
     def __init__(self, bel: float, pl: float):
@@ -123,22 +124,6 @@ class BeliefInterval(_Value):
     def vacuous(cls) -> BeliefInterval:
         return cls(0.0, 1.0)
 
-    @classmethod
-    def _carrying(cls, bel: float, pl: float, m_not_h: float, m_theta: float) -> BeliefInterval:
-        """The interval (bel, pl) of floats, carrying m_not_h = 1 - pl and m_theta = pl - bel.
-
-        Repairs the pair as __init__ does, and writes every slot in one pass.
-        """
-        if not 0.0 <= bel <= pl <= 1.0:
-            bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
-        iv = object.__new__(cls)
-        fields = iv.__dict__
-        fields["bel"] = bel
-        fields["pl"] = pl
-        # not in _fields, so it stays out of ==, hash and repr
-        fields["_carried"] = (m_not_h, m_theta)
-        return iv
-
     def masses(self) -> tuple[float, float, float]:
         """Mass on {H}, {not-H} and the frame: (bel, 1 - pl, pl - bel).
 
@@ -158,9 +143,29 @@ class BeliefInterval(_Value):
         return parse_object("belief interval", data, lambda d: cls(float(d["bel"]), float(d["pl"])))
 
 
+def _carrying(bel: float, pl: float, m_not_h: float, m_theta: float) -> BeliefInterval:
+    """The interval (bel, pl) of floats, carrying m_not_h = 1 - pl and m_theta = pl - bel.
+
+    Repairs the pair as __init__ does, and writes every slot in one pass.
+    """
+    if not 0.0 <= bel <= pl <= 1.0:
+        bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
+    iv = object.__new__(BeliefInterval)
+    fields = iv.__dict__
+    fields["bel"] = bel
+    fields["pl"] = pl
+    # not in _fields, so it stays out of ==, hash and repr
+    fields["_carried"] = (m_not_h, m_theta)
+    return iv
+
+
 def mass_to_interval(m: MassAssignment) -> BeliefInterval:
-    """Bel({H}) is the mass on {H}; Pl({H}) is everything not against it."""
-    return BeliefInterval(m.m_h, 1.0 - m.m_not_h)
+    """Bel({H}) is the mass on {H}; Pl({H}) is everything not against it.
+
+    The value carries m_not_h and m_theta as its complement and width, and
+    its pl is bel + m_theta, so a width of 0 is the Bayesian point bel == pl.
+    """
+    return _carrying(m.m_h, m.m_h + m.m_theta, m.m_not_h, m.m_theta)
 
 
 def interval_to_mass(iv: BeliefInterval) -> MassAssignment:

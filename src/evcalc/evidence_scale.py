@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .binary_frame import SUM_TOLERANCE, BeliefInterval
+from .binary_frame import SUM_TOLERANCE, BeliefInterval, _carrying
 from .errors import (
     _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _shown, _Value, parse_object,
 )
@@ -136,7 +136,7 @@ def belief_from_weights(w: EvidenceWeights) -> BeliefInterval:
     """
     if w.kind == FINITE:
         bel, m_not_h, width = _belief_parts(w.w_plus, w.w_minus)
-        return BeliefInterval._carrying(bel, bel + width, m_not_h, width)
+        return _carrying(bel, bel + width, m_not_h, width)
     point = delta_limit(w.delta)
     return BeliefInterval(point, point)
 

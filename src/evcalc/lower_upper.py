@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .binary_frame import BeliefInterval, _unit_pair
+from .binary_frame import BeliefInterval, _carrying, _unit_pair
 from .errors import (
     _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _shown, _Value, parse_object,
 )
@@ -262,4 +262,4 @@ def belpl_from_lu(fi: FrequencyInterval) -> BeliefInterval:
         wp, wt = _check_counts(wp, wt)
     # checked counts give weights that pass EvidenceWeights' check
     bel, m_not_h, width = _belief_parts(wp, wt - wp)
-    return BeliefInterval._carrying(bel, bel + width, m_not_h, width)
+    return _carrying(bel, bel + width, m_not_h, width)

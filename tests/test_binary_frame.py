@@ -1,18 +1,24 @@
 """Mass/interval value types and their lossless conversions."""
 
+import math
+
 import pytest
 from hypothesis import given
 
 from evcalc import (
+    SUM_TOLERANCE,
     BeliefInterval,
     EvidenceCounts,
     EvidenceWeights,
     FrequencyInterval,
     MassAssignment,
     ValidationError,
+    belief_from_weights,
     interval_to_mass,
+    lu_from_belpl,
     mass_to_interval,
     support_from_weight,
+    weights_from_belief,
 )
 from strategies import belief_intervals, mass_assignments
 
@@ -81,6 +87,78 @@ def test_mass_renormalizes_within_tolerance():
 def test_invalid_mass_rejected(mass):
     with pytest.raises(ValidationError):
         MassAssignment(*mass)
+
+
+def test_weights_survive_a_round_trip_through_masses():
+    # mass_to_interval carries m_not_h and m_theta; rebuilt from pl = 1 - m_not_h
+    # they cancel, and these weights came back as (16.65, 39.65)
+    iv = mass_to_interval(interval_to_mass(belief_from_weights(EvidenceWeights.finite(23.0, 46.0))))
+    back = weights_from_belief(iv)
+    assert back.w_plus == pytest.approx(23.0, rel=1e-12)
+    assert back.w_minus == pytest.approx(46.0, rel=1e-12)
+
+
+def test_mass_to_interval_keeps_a_mass_that_one_minus_pl_rounds_away():
+    m = MassAssignment(1.0 - 1e-10, 1e-20, 1e-10 - 1e-20)
+    assert m.m_not_h == 1e-20
+    iv = mass_to_interval(m)
+    assert iv.pl == 1.0
+    assert iv.masses() == (m.m_h, 1e-20, m.m_theta)
+    assert interval_to_mass(iv).m_not_h == 1e-20
+
+
+@pytest.mark.parametrize(
+    "mass",
+    [(0.3, 0.7, 0.0), (0.3, 0.7, 5e-324), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],
+)
+def test_a_bayesian_mass_maps_to_a_bayesian_point(mass):
+    # pl is bel + m_theta, so no mass on the frame is no width: (0.3, 0.7, 0)
+    # sums to exactly 1.0, but 1 - 0.7 is 0.30000000000000004
+    m = MassAssignment(*mass)
+    iv = mass_to_interval(m)
+    assert iv.bel == iv.pl == m.m_h
+    point = BeliefInterval(m.m_h, m.m_h)
+    assert weights_from_belief(iv) == weights_from_belief(point)
+    assert lu_from_belpl(iv) == lu_from_belpl(point)
+
+
+@pytest.mark.parametrize("delta", [0.8, -3.0, 0.0])
+def test_infinite_weights_survive_a_round_trip_through_masses(delta):
+    point = belief_from_weights(EvidenceWeights.infinite(delta))
+    iv = mass_to_interval(interval_to_mass(point))
+    assert iv == point
+    assert weights_from_belief(iv) == weights_from_belief(point)
+
+
+@given(m=mass_assignments())
+def test_every_mass_has_weights_and_frequencies_through_its_interval(m):
+    iv = mass_to_interval(m)
+    weights_from_belief(iv)
+    lu_from_belpl(iv)
+
+
+# h + (total - h) is exactly total for h = 0.5 and total near 1 (Sterbenz).
+# A sum passes when total - 1.0, which is exact there, is within
+# SUM_TOLERANCE.  The float 1.0 + SUM_TOLERANCE lies above 1 + 1e-12, so the
+# last sum in above is the float below it; 1.0 - SUM_TOLERANCE is in.
+_LAST_IN = {"above": math.nextafter(1.0 + SUM_TOLERANCE, 0.0), "below": 1.0 - SUM_TOLERANCE}
+_FIRST_OUT = {"above": 1.0 + SUM_TOLERANCE, "below": math.nextafter(1.0 - SUM_TOLERANCE, 0.0)}
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_a_sum_at_the_tolerance_is_renormalized(side):
+    total = _LAST_IN[side]
+    m = MassAssignment(0.5, total - 0.5, 0.0)
+    assert (m.m_h, m.m_not_h, m.m_theta) == (0.5 / total, (total - 0.5) / total, 0.0)
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_the_next_sum_outside_the_tolerance_raises(side):
+    total = _FIRST_OUT[side]
+    assert math.nextafter(total, 1.0) == _LAST_IN[side]
+    with pytest.raises(ValidationError) as info:
+        MassAssignment(0.5, total - 0.5, 0.0)
+    assert str(info.value) == f"masses must sum to 1, got {total!r}"
 
 
 @pytest.mark.parametrize("interval", [(0.7, 0.2), (-0.1, 0.5), (0.5, 1.2), (float("nan"), 1.0)])

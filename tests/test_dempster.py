@@ -1,20 +1,24 @@
 """Dempster's rule: mass form, interval form, Bernoulli case, oracle."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from evcalc import (
+    CONFLICT_TOLERANCE,
     BeliefInterval,
+    EvidenceWeights,
     MassAssignment,
     TotalConflictError,
     ValidationError,
+    belief_from_weights,
     bernoulli_combine,
     combine_interval,
     combine_mass,
     mass_to_interval,
 )
 from oracle import GeneralMass, combine_general
-from strategies import mass_assignments, unit_floats
+from strategies import belief_intervals, mass_assignments, unit_floats, weighted_intervals
 
 
 def test_vacuous_mass_is_identity_exactly():
@@ -83,6 +87,65 @@ def test_interval_form_specializes_mass_form(m1, m2):
     via_interval = combine_interval(mass_to_interval(m1), mass_to_interval(m2))
     assert via_mass.bel == pytest.approx(via_interval.bel, abs=1e-12)
     assert via_mass.pl == pytest.approx(via_interval.pl, abs=1e-12)
+
+
+def _rule_on_masses(x1, x2):
+    """combine_interval written out on the operands' masses(): the identity
+    cases, the rule body on two mass triples, then the parts renormalized by
+    their sum; returns the operand itself or (bel, pl, carried parts)."""
+    if x1.bel == 0.0 and x1.pl == 1.0:
+        return x2
+    if x2.bel == 0.0 and x2.pl == 1.0:
+        return x1
+    (h1, n1, t1), (h2, n2, t2) = x1.masses(), x2.masses()
+    conflict = h1 * n2 + n1 * h2
+    if 1.0 - conflict < CONFLICT_TOLERANCE:
+        raise TotalConflictError(x1, x2)
+    h, nh, th = h1 * h2 + h1 * t2 + t1 * h2, n1 * n2 + n1 * t2 + t1 * n2, t1 * t2
+    denom = 1.0 - conflict if conflict <= 0.5 else h + nh + th
+    h, nh, th = h / denom, nh / denom, th / denom
+    total = h + nh + th
+    iv = BeliefInterval(h / total, (h + th) / total)  # the same repair of the pair
+    return iv.bel, iv.pl, (nh / total, th / total)
+
+
+def _bits(*values):
+    return tuple(float.hex(v) for v in values)
+
+
+_points = st.one_of(st.sampled_from([0.0, 1.0]), unit_floats()).map(lambda p: BeliefInterval(p, p))
+# plain, carrying, vacuous and Bayesian-point operands
+_operands = st.one_of(
+    belief_intervals(),
+    weighted_intervals(max_weight=40.0),
+    mass_assignments().map(mass_to_interval),
+    st.just(BeliefInterval.vacuous()),
+    _points,
+)
+
+
+@settings(max_examples=400)
+@given(x1=_operands, x2=_operands)
+@example(x1=BeliefInterval(1.0, 1.0), x2=BeliefInterval(0.0, 0.0))
+@example(
+    x1=belief_from_weights(EvidenceWeights.finite(40.0, 0.0)),
+    x2=belief_from_weights(EvidenceWeights.finite(0.0, 40.0)),
+)
+def test_combine_interval_is_the_rule_on_masses_bit_for_bit(x1, x2):
+    try:
+        want = _rule_on_masses(x1, x2)
+    except TotalConflictError as error:
+        with pytest.raises(TotalConflictError) as info:
+            combine_interval(x1, x2)
+        assert (info.value.first, info.value.second) == (error.first, error.second)
+        return
+    got = combine_interval(x1, x2)
+    if isinstance(want, BeliefInterval):
+        assert got is want
+        return
+    bel, pl, carried = want
+    assert _bits(got.bel, got.pl) == _bits(bel, pl)
+    assert _bits(*got._carried) == _bits(*carried)
 
 
 @pytest.mark.parametrize(
