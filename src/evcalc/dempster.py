@@ -59,9 +59,11 @@ def combine_interval(x1: BeliefInterval, x2: BeliefInterval) -> BeliefInterval:
 
 
 def bernoulli_combine(s1: float, s2: float) -> float:
-    """Pool two same-direction simple supports: 1 - (1 - s1)(1 - s2)."""
+    """Pool two same-direction simple supports: 1 - (1 - s1)(1 - s2), computed as
+    hi + lo * (1 - hi) with hi the larger, which keeps small supports to an ulp."""
     s1, s2 = _real(s1, "s1"), _real(s2, "s2")
     for name, s in (("s1", s1), ("s2", s2)):
         if not 0.0 <= s <= 1.0:
             raise ValidationError(f"{name} must be in [0, 1], got {s!r}")
-    return 1.0 - (1.0 - s1) * (1.0 - s2)
+    hi, lo = (s1, s2) if s1 >= s2 else (s2, s1)
+    return hi + lo * (1.0 - hi) + 0.0  # + 0.0: two zero supports pool to +0.0, whatever their signs

@@ -176,14 +176,16 @@ def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:
 def _finite_weights(bel: float, pl: float, carried: tuple[float, float] | None) -> tuple[float, float]:
     """(w+, w-) of the interval (bel, pl), bel != pl, with its carried (1 - pl, pl - bel) or None.
 
-    Both are finite and nonnegative, so EvidenceWeights.finite keeps them as they are.
+    Both are nonnegative and bounded, so EvidenceWeights and EvidenceCounts
+    keep them as they are: bel != pl keeps bel / width below 2**54, so w+ <=
+    log1p(2**54), about 37.43; a part is at most 1 and a width at least
+    5e-324, so w- <= -log(5e-324), about 744.44.
     """
     if carried is None:
         m_not_h, width = 1.0 - pl, pl - bel
     else:
         m_not_h, width = carried
-    # log(1 + part / width): as bel != pl, bel / width stays below 2**54, but
-    # a carried complement over a width near the float minimum overflows
+    # log(1 + part / width), where a carried complement over a width near 5e-324 overflows
     ratio = m_not_h / width
     w_minus = math.log1p(ratio) if ratio != math.inf else math.log(m_not_h) - math.log(width)
     return math.log1p(bel / width), w_minus

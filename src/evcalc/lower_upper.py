@@ -244,10 +244,7 @@ def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
         return lu_from_weights(weights_from_belief(iv))
     # interval_from_counts(counts_from_weights(...)) of the finite weights, on floats
     wp, wm = _finite_weights(bel, pl, iv._carried)
-    wt = wp + wm
-    if not 0.0 <= wp <= wt < math.inf:
-        wp, wt = _check_counts(wp, wt)
-    scale = wt + 1.0
+    scale = wp + wm + 1.0  # _finite_weights' bounds keep the counts (wp, wp + wm) inside their check
     return FrequencyInterval(wp / scale, (wp + 1.0) / scale)
 
 

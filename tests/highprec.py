@@ -9,6 +9,8 @@ than 200 bits), so that a test can state an error in ulps or relative terms:
 - dempster(m1, m2): Dempster's rule on two (m_h, m_not_h, m_theta) triples;
 - chain(outcomes, s_plus, s_minus): that rule folded over simple supports,
   which is the closed form of the added weights;
+- support(w): the simple support 1 - e^-w of a weight;
+- logistic(d): the Bayesian point 1 / (1 + e^d) of a weight difference;
 - ulps(got, exact): a float's error in units of the float spacing at exact.
 
 Floats and ints convert exactly (Decimal(x) is the float's own binary
@@ -38,6 +40,18 @@ def _expm1(w: Decimal) -> Decimal:
     with localcontext() as ctx:
         ctx.prec = DIGITS + max(0, -w.adjusted())
         return w.exp() - _ONE
+
+
+def support(w) -> Decimal:
+    """1 - e^-w, the support earned by evidence of weight w."""
+    with context():
+        return -_expm1(-Decimal(w))
+
+
+def logistic(d) -> Decimal:
+    """1 / (1 + e^d), the point that weights whose difference w- - w+ is d tend to."""
+    with context():
+        return _ONE / (_ONE + Decimal(d).exp())
 
 
 def belief(wp, wm) -> tuple[Decimal, Decimal, Decimal]:

@@ -25,15 +25,19 @@ from evcalc import (
     FrequencyInterval,
     MassAssignment,
     InfiniteEvidenceError,
+    TotalConflictError,
     ValidationError,
     ZeroEvidenceError,
     belief_from_weights,
     belpl_from_lu,
+    combine_interval,
     counts_from_interval,
     counts_from_weights,
     interval_from_counts,
+    interval_to_mass,
     lu_from_belpl,
     lu_from_weights,
+    mass_to_interval,
     positive_proportion,
     weights_from_belief,
     weights_from_counts,
@@ -245,14 +249,31 @@ def chained_proportion(iv):
     return (w.w_plus / total,)
 
 
+def combined(pair):
+    """combine_interval of the pair, or None where the two are in total conflict."""
+    try:
+        return combine_interval(*pair)
+    except TotalConflictError:
+        return None
+
+
 # belief intervals: plain pairs (zeros of both signs and the ends included),
-# weight-built ones with carried parts, Bayesian points and one-ulp intervals
+# weight-built ones with carried parts, Bayesian points and one-ulp intervals,
+# and the other maps' carrying results: combine_interval of two of those and
+# mass_to_interval of their masses
 unit = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0]), st.floats(0.0, 1.0))
-belief_intervals = st.one_of(
+built_intervals = st.one_of(
     st.tuples(unit, unit).map(lambda p: BeliefInterval(*sorted(p))),
     st.one_of(extreme_weights, finite_weights).map(belief_from_weights),
     unit.map(lambda b: BeliefInterval(b, b)),
     unit.map(lambda b: BeliefInterval(math.nextafter(b, 0.0), b) if b else BeliefInterval(0.0, 5e-324)),
+)
+belief_intervals = st.one_of(
+    built_intervals,
+    st.one_of(
+        st.tuples(built_intervals, built_intervals).map(combined).filter(lambda iv: iv is not None),
+        built_intervals.map(lambda iv: mass_to_interval(interval_to_mass(iv))),
+    ),
 )
 
 
