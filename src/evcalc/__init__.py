@@ -15,12 +15,14 @@ itself, so later lookups are plain module attributes.
 _SOURCE = {
     name: module
     for module, names in {
-        "binary_frame": ("BeliefInterval", "MassAssignment", "SUM_TOLERANCE", "interval_to_mass", "mass_to_interval"),
-        "convergence": (
-            "LimitReport", "StreamSpec", "Trajectory", "TrajectoryRow", "check_limits", "generate_stream",
-            "run_dual_track",
+        "binary_frame": (
+            "BeliefInterval", "CONFLICT_TOLERANCE", "MassAssignment", "SUM_TOLERANCE", "bernoulli_combine",
+            "combine_interval", "combine_mass", "interval_to_mass", "mass_to_interval",
         ),
-        "dempster": ("CONFLICT_TOLERANCE", "bernoulli_combine", "combine_interval", "combine_mass"),
+        "convergence": (
+            "LimitReport", "SplitMix64", "StreamSpec", "Trajectory", "TrajectoryRow", "check_limits",
+            "generate_stream", "run_dual_track",
+        ),
         "errors": ("InfiniteEvidenceError", "TotalConflictError", "ValidationError", "ZeroEvidenceError"),
         "evidence_scale": (
             "EvidenceWeights", "UnitWeights", "add_weights", "belief_from_weights", "classify_limit", "delta_limit",
@@ -31,7 +33,6 @@ _SOURCE = {
             "combine_with_point", "counts_from_interval", "counts_from_weights", "frequency", "ignorance",
             "interval_from_counts", "lu_from_belpl", "lu_from_weights", "pool_lu", "weights_from_counts",
         ),
-        "rng": ("SplitMix64",),
     }.items()
     for name in names
 }

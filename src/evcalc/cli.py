@@ -123,8 +123,7 @@ def _cmd_combine(args) -> tuple[int, dict]:
     if len(values) < 2:
         raise _UsageError("combine needs at least two values")
     if args.rule == "dempster":  # Dempster's rule reports no conflict: it combines or raises
-        from .binary_frame import BeliefInterval
-        from .dempster import combine_interval
+        from .binary_frame import BeliefInterval, combine_interval
 
         return EXIT_OK, reduce(combine_interval, map(BeliefInterval.from_dict, values)).to_dict()
     from .lower_upper import ConflictReport, FrequencyInterval, pool_lu

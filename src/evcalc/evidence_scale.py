@@ -19,7 +19,8 @@ from .errors import (
     _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _shown, _Value, parse_object,
 )
 
-#: Exact-tie tolerance for the limit classification.
+#: Exact-tie tolerance for the limit classification, relative to the size of
+#: the two weighted rates.
 TIE_TOLERANCE = 1e-12
 
 FINITE = "finite"
@@ -88,10 +89,8 @@ class EvidenceWeights(_Value):
         def build(d):
             kind = d["kind"]
             if kind == FINITE:
-                return cls.finite(float(d["w_plus"]), float(d["w_minus"]))
-            if kind == INFINITE:
-                return cls.infinite(float(d["delta"]))
-            raise ValidationError(f"unknown weights kind {_shown(kind)}")
+                return cls(kind, float(d["w_plus"]), float(d["w_minus"]))
+            return cls(kind, delta=float(d["delta"]) if kind == INFINITE else None)
         return parse_object("weights", data, build)
 
 
@@ -237,13 +236,16 @@ def classify_limit(q: float, unit: UnitWeights) -> float:
     rate q: 0, 0.5 or 1 by the sign of w0+*q - w0-*(1 - q).
 
     The tie is only meaningful for exactly representable inputs; it is
-    resolved with tolerance TIE_TOLERANCE.
+    resolved with tolerance TIE_TOLERANCE times w0+*q + w0-*(1 - q), so
+    scaling both unit weights by one constant leaves the verdict as it is.
     """
     q = _real(q, "q")
     if not 0.0 <= q <= 1.0:
         raise ValidationError(f"q must be in [0, 1], got {q!r}")
-    diff = unit.w0_plus * q - unit.w0_minus * (1.0 - q)
-    if abs(diff) <= TIE_TOLERANCE:
+    pos, neg = unit.w0_plus * q, unit.w0_minus * (1.0 - q)
+    diff = pos - neg
+    # the tolerance term by term: pos + neg can overflow near the float maximum
+    if abs(diff) <= TIE_TOLERANCE * pos + TIE_TOLERANCE * neg:
         return 0.5
     return 1.0 if diff > 0.0 else 0.0
 

@@ -11,6 +11,8 @@ than 200 bits), so that a test can state an error in ulps or relative terms:
   which is the closed form of the added weights;
 - support(w): the simple support 1 - e^-w of a weight;
 - logistic(d): the Bayesian point 1 / (1 + e^d) of a weight difference;
+- lu_rule(f1, f2): the lower/upper rule on two (l, u) intervals;
+- frequency(f): the frequency l / (l + 1 - u) of an (l, u) interval;
 - ulps(got, exact): a float's error in units of the float spacing at exact.
 
 Floats and ints convert exactly (Decimal(x) is the float's own binary
@@ -70,6 +72,25 @@ def dempster(m1, m2) -> tuple[Decimal, Decimal, Decimal]:
         h, nh, th = h1 * h2 + h1 * t2 + t1 * h2, n1 * n2 + n1 * t2 + t1 * n2, t1 * t2
         total = h + nh + th
         return h / total, nh / total, th / total
+
+
+def lu_rule(f1, f2) -> tuple[Decimal, Decimal]:
+    """The lower/upper rule on intervals (l, u) of widths i = u - l:
+    l = (l1*i2 + l2*i1) / (i1 + i2 - i1*i2) and u = l + i1*i2 / (same)."""
+    with context():
+        l1, u1 = map(Decimal, f1)
+        l2, u2 = map(Decimal, f2)
+        i1, i2 = u1 - l1, u2 - l2
+        denom = i1 + i2 - i1 * i2
+        l = (l1 * i2 + l2 * i1) / denom
+        return l, l + i1 * i2 / denom
+
+
+def frequency(f) -> Decimal:
+    """l / (l + 1 - u), the frequency w+ / w behind the interval (l, u)."""
+    with context():
+        l, u = map(Decimal, f)
+        return l / (l + (_ONE - u))  # 1 - u first: l + 1 would round a tiny l away
 
 
 def chain(outcomes, s_plus: float, s_minus: float):

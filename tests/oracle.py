@@ -1,7 +1,7 @@
 """Brute-force Dempster combination over a general frame: the test oracle.
 
 Subsets of an n-atom frame are bitsets, and combine_general visits every
-pair of focal sets.  The binary-frame rules in evcalc.dempster are checked
+pair of focal sets.  The binary-frame rules in evcalc.binary_frame are checked
 against it through GeneralMass.from_binary and to_binary.
 """
 

@@ -463,13 +463,13 @@ def test_import_loads_no_dataclass_machinery():
         (["convert", "--from", "counts", "--to", "belpl", '{"w_plus": 1, "w_total": 2}'],
          "binary_frame cli errors evidence_scale lower_upper"),
         (["combine", "--rule", "dempster", '{"bel": 0.5, "pl": 1}', '{"bel": 0.5, "pl": 1}'],
-         "binary_frame cli dempster errors"),
+         "binary_frame cli errors"),
         (["combine", "--rule", "lu", '{"kind": "point", "value": 0.5}', '{"kind": "interval", "l": 0, "u": 1}'],
          "binary_frame cli errors evidence_scale lower_upper"),
         (["simulate", "--q", "0.7", "--steps", "20", "--mode", "bernoulli"],
-         "binary_frame cli convergence errors evidence_scale rng"),
-        (["defect-demo", "--steps", "20"], "binary_frame cli convergence errors evidence_scale rng"),
-        (["delta-demo", "--delta", "2", "--steps", "20"], "binary_frame cli convergence errors evidence_scale rng"),
+         "binary_frame cli convergence errors evidence_scale"),
+        (["defect-demo", "--steps", "20"], "binary_frame cli convergence errors evidence_scale"),
+        (["delta-demo", "--delta", "2", "--steps", "20"], "binary_frame cli convergence errors evidence_scale"),
     ],
     ids=["import", "convert", "combine-dempster", "combine-lu", "simulate", "defect-demo", "delta-demo"],
 )

@@ -32,9 +32,8 @@ from evcalc import (
     support_from_weight,
 )
 from evcalc import convergence
-from evcalc.convergence import _SATURATION_GAP, _dual_track_rows, _write_csv
+from evcalc.convergence import _SATURATION_GAP, SplitMix64, _bernoulli_blocks, _dual_track_rows, _write_csv
 from evcalc.evidence_scale import _belief_parts
-from evcalc.rng import SplitMix64, _bernoulli_blocks
 
 UNIT = UnitWeights()
 

@@ -12,8 +12,13 @@ from decimal import Decimal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evcalc import bernoulli_combine, delta_limit, multiply_combine, support_from_weight
-from highprec import context, logistic, support, ulps
+from evcalc import (
+    FrequencyInterval, bernoulli_combine, combine_lu, delta_limit, frequency, interval_from_counts, multiply_combine,
+    support_from_weight,
+)
+from highprec import context, logistic, lu_rule, support, ulps
+from highprec import frequency as exact_frequency
+from strategies import evidence_counts
 
 ONE = Decimal(1)
 
@@ -69,3 +74,29 @@ inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @example(0.47707193955935856, 0.0041249483424674604)  # 3.25 ulps
 def test_multiply_combine_is_within_3_5_ulps(b1, b2):
     assert ulps(multiply_combine(b1, b2), bayes_exact(b1, b2)) <= 3.5
+
+
+# intervals of counts 0 <= w_plus <= w_total <= 50, as the kernels benchmark draws them, with
+# w_plus 0 or at least 1e-300: below that the rule's products can round in the subnormal range,
+# whose fixed spacing is no ulp of the result (an l of 1.14e-309 came out 5.19 spacings off)
+count_intervals = (
+    evidence_counts(max_total=50.0).filter(lambda c: c.w_plus == 0.0 or c.w_plus >= 1e-300).map(interval_from_counts)
+)
+
+
+@given(count_intervals, count_intervals)
+@example(FrequencyInterval(0.39340128203658736, 0.9401541820490905),
+         FrequencyInterval(0.3411184756910054, 0.8028104156975708))  # l: 3.62 ulps
+@example(FrequencyInterval(0.6623722634038223, 0.8282520963355604),
+         FrequencyInterval(0.21908815110086552, 0.3298869695980035))  # u: 3.95 ulps
+def test_combine_lu_is_within_4_5_ulps(f1, f2):
+    got = combine_lu(f1, f2)
+    l, u = lu_rule((f1.l, f1.u), (f2.l, f2.u))
+    assert ulps(got.l, l) <= 4.5
+    assert ulps(got.u, u) <= 4.5
+
+
+@given(count_intervals.filter(lambda fi: fi != FrequencyInterval.total_ignorance()))
+@example(FrequencyInterval(0.07229702285597922, 0.48886270526972936))  # 2.19 ulps
+def test_frequency_is_within_2_5_ulps(fi):
+    assert ulps(frequency(fi), exact_frequency((fi.l, fi.u))) <= 2.5

@@ -242,10 +242,26 @@ def test_weight_built_interval_is_the_plain_pair(w):
         (0.0, 1.0, 1.0, 0.0),
         (1.0, 1.0, 1.0, 1.0),
         (2 / 3, 1.0, 2.0, 0.5),  # tie up to rounding noise
+        # weighted rates near 1e-13: the tie tolerance scales with them
+        (0.1, 1e-13, 1e-13, 0.0),
+        (0.5, 1e-13, 1e-13, 0.5),
+        (0.9, 1e-13, 1e-13, 1.0),
     ],
 )
 def test_classify_limit(q, w0p, w0m, expected):
     assert classify_limit(q, UnitWeights(w0p, w0m)) == expected
+
+
+@given(
+    q=unit_floats(),
+    w0p=st.floats(min_value=1e-3, max_value=1e3),
+    w0m=st.floats(min_value=1e-3, max_value=1e3),
+    k=st.integers(min_value=-100, max_value=100),
+)
+def test_classify_limit_ignores_a_common_scale_of_the_unit_weights(q, w0p, w0m, k):
+    # a power of two scales both weights exactly, and cannot move the limit
+    scaled = UnitWeights(math.ldexp(w0p, k), math.ldexp(w0m, k))
+    assert classify_limit(q, scaled) == classify_limit(q, UnitWeights(w0p, w0m))
 
 
 def test_classify_limit_domain():

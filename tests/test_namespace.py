@@ -95,8 +95,7 @@ for name in ("no_such_name", "combine_interval", "no_such_name"):
     {STATE}
 """
     missing = "module 'evcalc' has no attribute 'no_such_name'"
-    loaded = ["evcalc." + m for m in ("binary_frame", "convergence", "dempster", "errors", "evidence_scale",
-                                      "lower_upper", "rng")]
+    loaded = ["evcalc." + m for m in ("binary_frame", "convergence", "errors", "evidence_scale", "lower_upper")]
     assert fresh(code) == [missing, [[], True], [loaded, False], missing, [loaded, False]]
 
 
