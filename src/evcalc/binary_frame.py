@@ -90,9 +90,6 @@ class MassAssignment(_Value):
         """The no-evidence assignment: all mass on the frame."""
         return cls(0.0, 0.0, 1.0)
 
-    def to_dict(self) -> dict:
-        return {"m_h": self.m_h, "m_not_h": self.m_not_h, "m_theta": self.m_theta}
-
     @classmethod
     def from_dict(cls, data) -> MassAssignment:
         return parse_object("mass", data, lambda d: cls(float(d["m_h"]), float(d["m_not_h"]), float(d["m_theta"])))
@@ -145,9 +142,6 @@ class BeliefInterval(_Value):
         if self._carried is None:
             return self.bel, 1.0 - self.pl, self.pl - self.bel
         return (self.bel, *self._carried)
-
-    def to_dict(self) -> dict:
-        return {"bel": self.bel, "pl": self.pl}
 
     @classmethod
     def from_dict(cls, data) -> BeliefInterval:

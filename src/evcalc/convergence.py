@@ -356,12 +356,9 @@ class LimitReport(_Value):
         )
 
     def to_dict(self) -> dict:
-        out = {"mode": self.mode, **dict(zip(CSV_HEADER.split(","), self.final))}
-        for key in self._fields[2:]:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        out = super().to_dict()
+        final = dict(zip(CSV_HEADER.split(","), out.pop("final")))
+        return {"mode": out.pop("mode"), **final, **out}
 
 
 def check_limits(

@@ -73,9 +73,11 @@ class _Value:
     """Base of the immutable value types.
 
     A subclass names its fields in _fields and sets each one once in its
-    __init__, through self.__dict__.  Equality (within one class only), hash
-    and repr go over those fields in that order, and assigning or deleting
-    an attribute raises AttributeError.
+    __init__, through self.__dict__.  Equality (within one class only), hash,
+    repr and to_dict go over those fields in that order, and assigning or
+    deleting an attribute raises AttributeError.  to_dict leaves out a field
+    that is None; FrequencyInterval, ConflictReport and LimitReport override
+    it, and the other values (StreamSpec, UnitWeights, Trajectory) keep it.
     """
 
     _fields: tuple[str, ...] = ()
@@ -95,6 +97,10 @@ class _Value:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def to_dict(self) -> dict:
+        fields = self.__dict__
+        return {name: fields[name] for name in self._fields if fields[name] is not None}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -79,11 +79,6 @@ class EvidenceWeights(_Value):
     def is_finite(self) -> bool:
         return self.kind == FINITE
 
-    def to_dict(self) -> dict:
-        if self.is_finite:
-            return {"kind": FINITE, "w_plus": self.w_plus, "w_minus": self.w_minus}
-        return {"kind": INFINITE, "delta": self.delta}
-
     @classmethod
     def from_dict(cls, data) -> EvidenceWeights:
         def build(d):

@@ -93,9 +93,6 @@ class EvidenceCounts(_Value):
     def __add__(self, other: EvidenceCounts) -> EvidenceCounts:
         return EvidenceCounts(self.w_plus + other.w_plus, self.w_total + other.w_total)
 
-    def to_dict(self) -> dict:
-        return {"w_plus": self.w_plus, "w_total": self.w_total}
-
     @classmethod
     def from_dict(cls, data) -> EvidenceCounts:
         return parse_object("counts", data, lambda d: cls(float(d["w_plus"]), float(d["w_total"])))

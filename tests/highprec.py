@@ -6,6 +6,8 @@ with the standard library's decimal module at 61 significant digits (more
 than 200 bits), so that a test can state an error in ulps or relative terms:
 
 - belief(wp, wm): the closed form (bel, 1 - pl, pl - bel) of finite weights;
+- weights(bel, pl): the finite weights (w+, w-) behind an interval bel < pl;
+- counts(l, u): the counts (w+, w) behind a frequency interval l < u;
 - dempster(m1, m2): Dempster's rule on two (m_h, m_not_h, m_theta) triples;
 - chain(outcomes, s_plus, s_minus): that rule folded over simple supports,
   which is the closed form of the added weights;
@@ -44,6 +46,13 @@ def _expm1(w: Decimal) -> Decimal:
         return w.exp() - _ONE
 
 
+def _log1p(x: Decimal) -> Decimal:
+    """ln(1 + x) to DIGITS digits, also for tiny x, where 1 + x rounds x away."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + max(0, -x.adjusted())
+        return (_ONE + x).ln()
+
+
 def support(w) -> Decimal:
     """1 - e^-w, the support earned by evidence of weight w."""
     with context():
@@ -62,6 +71,22 @@ def belief(wp, wm) -> tuple[Decimal, Decimal, Decimal]:
         ep1, em1 = _expm1(Decimal(wp)), _expm1(Decimal(wm))
         denom = ep1 + em1 + _ONE
         return ep1 / denom, em1 / denom, _ONE / denom
+
+
+def weights(bel, pl) -> tuple[Decimal, Decimal]:
+    """(w+, w-) = (ln(1 + bel / (pl - bel)), ln(1 + (1 - pl) / (pl - bel))), the inverse of belief()."""
+    with context():
+        bel, pl = Decimal(bel), Decimal(pl)
+        width = pl - bel
+        return _log1p(bel / width), _log1p((_ONE - pl) / width)
+
+
+def counts(l, u) -> tuple[Decimal, Decimal]:
+    """(w+, w) = (l / (u - l), (l + 1 - u) / (u - l)), the counts behind the interval (l, u)."""
+    with context():
+        l, u = Decimal(l), Decimal(u)
+        width = u - l
+        return l / width, (l + (_ONE - u)) / width  # not 1 - width, which cancels for small counts
 
 
 def dempster(m1, m2) -> tuple[Decimal, Decimal, Decimal]:

@@ -13,10 +13,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evcalc import (
-    FrequencyInterval, bernoulli_combine, combine_lu, delta_limit, frequency, interval_from_counts, multiply_combine,
-    support_from_weight,
+    BeliefInterval, EvidenceWeights, FrequencyInterval, belief_from_weights, belpl_from_lu, bernoulli_combine,
+    combine_lu, delta_limit, frequency, interval_from_counts, lu_from_belpl, multiply_combine, support_from_weight,
+    weights_from_belief,
 )
-from highprec import context, logistic, lu_rule, support, ulps
+from highprec import belief, context, counts, logistic, lu_rule, support, ulps, weights
 from highprec import frequency as exact_frequency
 from strategies import evidence_counts
 
@@ -100,3 +101,74 @@ def test_combine_lu_is_within_4_5_ulps(f1, f2):
 @example(FrequencyInterval(0.07229702285597922, 0.48886270526972936))  # 2.19 ulps
 def test_frequency_is_within_2_5_ulps(fi):
     assert ulps(frequency(fi), exact_frequency((fi.l, fi.u))) <= 2.5
+
+
+# belief_from_weights and belpl_from_lu go through exp, whose relative error is the absolute error
+# of its argument: one rounding of a wp - wm up to 40 costs up to 32 ulps of the result, and the
+# counts' own roundings, up to 50, add more.  These bounds are the maps' conditioning, not faults.
+
+
+@given(st.floats(0.0, 40.0), st.floats(0.0, 40.0))
+@example(4.628017821486967, 37.203399053828846)  # bel: 34.10 ulps
+@example(4.275904141154658, 36.863233084938784)  # pl: 34.19 ulps
+@example(35.62958141241124, 0.8382377226062765)  # 1 - pl: 34.12 ulps
+@example(0.17683895838540575, 0.6258268090900909)  # width: 3.58 ulps
+def test_belief_from_weights_is_within_40_ulps_and_its_width_within_4(wp, wm):
+    iv = belief_from_weights(EvidenceWeights.finite(wp, wm))
+    bel, m_not_h, width = belief(wp, wm)
+    with context():
+        pl = bel + width
+    assert ulps(iv.bel, bel) <= 40.0
+    assert ulps(iv.pl, pl) <= 40.0
+    assert ulps(iv._carried[0], m_not_h) <= 40.0
+    assert ulps(iv._carried[1], width) <= 4.0
+
+
+# plain intervals 0 <= bel < pl <= 1, which carry no parts
+unit = st.floats(0.0, 1.0)
+plain_intervals = st.tuples(unit, unit).filter(lambda p: p[0] != p[1]).map(lambda p: BeliefInterval(*sorted(p)))
+
+
+@given(plain_intervals)
+@example(BeliefInterval(0.1922843094477601, 0.8974416455585511))  # w+: 1.53 ulps
+@example(BeliefInterval(0.17277734848446014, 0.90422099439984))  # w-: 1.51 ulps
+def test_weights_from_belief_is_within_2_ulps(iv):
+    got = weights_from_belief(iv)
+    wp, wm = weights(iv.bel, iv.pl)
+    assert ulps(got.w_plus, wp) <= 2.0
+    assert ulps(got.w_minus, wm) <= 2.0
+
+
+@given(plain_intervals)
+@example(BeliefInterval(0.0013519975212078483, 0.3466123885601221))  # l: 3.51 ulps
+@example(BeliefInterval(0.6375713608367674, 0.9986084960928462))  # u: 2.89 ulps
+def test_lu_from_belpl_is_within_4_ulps(iv):
+    got = lu_from_belpl(iv)
+    wp, wm = weights(iv.bel, iv.pl)
+    with context():
+        scale = wp + wm + 1
+        l, u = wp / scale, (wp + 1) / scale
+    assert ulps(got.l, l) <= 4.0
+    assert ulps(got.u, u) <= 4.0
+
+
+# intervals of counts 1 <= w_total <= 50, or of no counts, (0, 1): below a w_total of 1 the map's
+# counts (1 - width) / width cancel, and where w_plus is within an ulp of w_total the counts check
+# then snaps w_plus down to the cancelled total (w_total 1.26e-22 gave bel 0.0, all of it lost)
+counted_intervals = st.one_of(
+    st.just(FrequencyInterval.total_ignorance()),
+    evidence_counts(min_total=1.0, max_total=50.0).map(interval_from_counts),
+)
+
+
+@given(counted_intervals)
+@example(FrequencyInterval(0.0001284433692808218, 0.019826174595260287))  # bel: 145.50 ulps
+@example(FrequencyInterval(0.014912755434963636, 0.03627956960485419))  # pl: 121.12 ulps
+def test_belpl_from_lu_is_within_160_ulps(fi):
+    got = belpl_from_lu(fi)
+    wp, w = counts(fi.l, fi.u)
+    with context():
+        bel, _, width = belief(wp, w - wp)
+        pl = bel + width
+    assert ulps(got.bel, bel) <= 160.0
+    assert ulps(got.pl, pl) <= 160.0

@@ -344,9 +344,12 @@ def test_scalar_functions_name_an_argument_that_is_not_a_number(call, message):
 def test_weights_json_forms():
     finite = EvidenceWeights.finite(1.25, 0.5)
     assert finite.to_dict() == {"kind": "finite", "w_plus": 1.25, "w_minus": 0.5}
+    assert list(finite.to_dict().items()) == [("kind", "finite"), ("w_plus", 1.25), ("w_minus", 0.5)]
     assert EvidenceWeights.from_dict(finite.to_dict()) == finite
     infinite = EvidenceWeights.infinite(0.75)
     assert infinite.to_dict() == {"kind": "infinite", "delta": 0.75}
     assert EvidenceWeights.from_dict(infinite.to_dict()) == infinite
+    for delta in (0.75, math.inf, -math.inf):
+        assert list(EvidenceWeights.infinite(delta).to_dict().items()) == [("kind", "infinite"), ("delta", delta)]
     with pytest.raises(ValidationError):
         EvidenceWeights.from_dict({"kind": "nope"})

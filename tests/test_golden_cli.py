@@ -24,6 +24,12 @@ prints bel 0.40298507462686567, the float nearest 27/67, where the (bel, pl)
 form printed 0.4029850746268657;
 test_combine_dempster_three_is_near_a_200_bit_reference checks both of its
 printed values against the rule evaluated to 61 digits.
+
+The three cases of an infinite delta were added later, taken from the CLI
+whose value types each wrote their own JSON object.  Their `Infinity` and
+`-Infinity` are Python's json extension, which RFC 8259 and strict parsers
+reject and which evcalc reads back; a change that defines another encoding
+re-pins them on purpose.
 """
 
 import json
@@ -49,6 +55,10 @@ CASES = [
      0, '{"kind": "finite", "w_plus": 0.0, "w_minus": 0.0}\n', ''),
     ('convert-belpl-weights-point', ['convert', '--from', 'belpl', '--to', 'weights', '{"bel":0.3,"pl":0.3}'],
      0, '{"kind": "infinite", "delta": 0.8472978603872037}\n', ''),
+    ('convert-belpl-weights-certainly-not', ['convert', '--from', 'belpl', '--to', 'weights', '{"bel":0,"pl":0}'],
+     0, '{"kind": "infinite", "delta": Infinity}\n', ''),
+    ('convert-belpl-weights-certainly', ['convert', '--from', 'belpl', '--to', 'weights', '{"bel":1,"pl":1}'],
+     0, '{"kind": "infinite", "delta": -Infinity}\n', ''),
     ('convert-belpl-lu-finite', ['convert', '--from', 'belpl', '--to', 'lu', '{"bel":0.2,"pl":0.7}'],
      0, '{"kind": "interval", "l": 0.18625891603580105, "u": 0.7398229125966344}\n', ''),
     ('convert-belpl-lu-zero', ['convert', '--from', 'belpl', '--to', 'lu', '{"bel":0,"pl":1}'],
@@ -67,6 +77,8 @@ CASES = [
      0, '{"bel": 0.0, "pl": 1.0}\n', ''),
     ('convert-weights-belpl-infinite', ['convert', '--from', 'weights', '--to', 'belpl', '{"kind":"infinite","delta":1.5}'],
      0, '{"bel": 0.18242552380635632, "pl": 0.18242552380635632}\n', ''),
+    ('convert-weights-belpl-infinite-delta', ['convert', '--from', 'weights', '--to', 'belpl', '{"kind":"infinite","delta":Infinity}'],
+     0, '{"bel": 0.0, "pl": 0.0}\n', ''),
     ('convert-weights-weights-finite', ['convert', '--from', 'weights', '--to', 'weights', '{"kind":"finite","w_plus":2.5,"w_minus":1.5}'],
      0, '{"kind": "finite", "w_plus": 2.5, "w_minus": 1.5}\n', ''),
     ('convert-weights-weights-zero', ['convert', '--from', 'weights', '--to', 'weights', '{"kind":"finite","w_plus":0,"w_minus":0}'],

@@ -293,3 +293,4 @@ def test_json_forms():
     with pytest.raises(ValidationError):
         FrequencyInterval.from_dict({"kind": "triangle", "l": 0, "u": 1})
     assert EvidenceCounts.from_dict({"w_plus": 6, "w_total": 10}) == EvidenceCounts(6.0, 10.0)
+    assert list(EvidenceCounts(6, 10).to_dict().items()) == [("w_plus", 6.0), ("w_total", 10.0)]
