@@ -47,16 +47,16 @@ def _clamp_unit(value: float, name: str) -> float:
     return value
 
 
-def _unit_pair(lo: float, hi: float, lo_name: str, hi_name: str, tolerance: float) -> tuple[float, float]:
-    """Repair an interval (lo, hi) of floats; callers test 0 <= lo <= hi <= 1 first.
+def _unit_pair(lo: float, hi: float, lo_name: str, hi_name: str) -> tuple[float, float]:
+    """Repair an interval (lo, hi) of outside floats; its two constructors test 0 <= lo <= hi <= 1 first.
 
-    Each end is coerced by _clamp_unit; a pair inverted by at most tolerance
+    Each end is coerced by _clamp_unit; a pair inverted by at most SUM_TOLERANCE
     (rounding noise) collapses to its midpoint, a wider inversion is an error.
     """
     lo = _clamp_unit(lo, lo_name)
     hi = _clamp_unit(hi, hi_name)
     if lo > hi:
-        if lo - hi > tolerance:
+        if lo - hi > SUM_TOLERANCE:
             raise ValidationError(f"{lo_name} must not exceed {hi_name}, got ({lo!r}, {hi!r})")
         lo = hi = 0.5 * (lo + hi)
     return lo, hi
@@ -119,7 +119,7 @@ class BeliefInterval(_Value):
         except _NOT_REAL:
             bel, pl = _real(bel, "bel"), _real(pl, "pl")
         if not 0.0 <= bel <= pl <= 1.0:
-            bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
+            bel, pl = _unit_pair(bel, pl, "bel", "pl")
         fields = self.__dict__
         fields["bel"] = bel
         fields["pl"] = pl
@@ -151,10 +151,10 @@ class BeliefInterval(_Value):
 def _carrying(bel: float, pl: float, m_not_h: float, m_theta: float) -> BeliefInterval:
     """The interval (bel, pl) of floats, carrying m_not_h = 1 - pl and m_theta = pl - bel.
 
-    Repairs the pair as __init__ does, and writes every slot in one pass.
+    Writes every slot in one pass and repairs nothing: each caller meets 0 <= bel <= pl <= 1.
+    _belief_parts and mass_to_interval clamp their pl = bel + width to 1, and combine_interval's
+    pl = (h + th) / total is at most 1, as rounding keeps total = (h + nh) + th >= h + th.
     """
-    if not 0.0 <= bel <= pl <= 1.0:
-        bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
     iv = object.__new__(BeliefInterval)
     fields = iv.__dict__
     fields["bel"] = bel
@@ -170,7 +170,8 @@ def mass_to_interval(m: MassAssignment) -> BeliefInterval:
     The value carries m_not_h and m_theta as its complement and width, and
     its pl is bel + m_theta, so a width of 0 is the Bayesian point bel == pl.
     """
-    return _carrying(m.m_h, m.m_h + m.m_theta, m.m_not_h, m.m_theta)
+    pl = m.m_h + m.m_theta
+    return _carrying(m.m_h, pl if pl <= 1.0 else 1.0, m.m_not_h, m.m_theta)
 
 
 def interval_to_mass(iv: BeliefInterval) -> MassAssignment:

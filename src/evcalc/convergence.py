@@ -37,7 +37,6 @@ from math import ceil, floor, log
 from operator import gt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .binary_frame import SUM_TOLERANCE, _unit_pair
 from .errors import ValidationError, _is_whole, _real, _shown, _Value
 from .evidence_scale import UnitWeights, _belief_parts, classify_limit, delta_limit, support_from_weight
 
@@ -263,9 +262,7 @@ def _dual_track_rows(spec: StreamSpec, unit: UnitWeights, record_every: int = 1)
     produced lazily; the arguments are checked before the first row."""
     if not _is_whole(record_every) or record_every < 1:
         raise ValidationError(f"record_every must be a positive integer, got {_shown(record_every)}")
-    # a whole float such as 2000.0 would not index bytes.count, and islice takes no stride above
-    # sys.maxsize: any stride past the run records only the start and final rows, as steps + 1 does
-    record_every = min(int(record_every), spec.steps + 1)
+    record_every = int(record_every)  # a whole float such as 2000.0 would not index islice
     for name, w in (("w0_plus", unit.w0_plus), ("w0_minus", unit.w0_minus)):
         if support_from_weight(w) == 1.0:  # from 54 ln 2 on, e^-w is at most half an ulp of 1
             raise ValidationError(f"{name} must be below 54 ln 2 (about 37.43), got {w!r}: its support rounds to 1")
@@ -282,19 +279,21 @@ _SATURATION_GAP = 54 * log(2)
 def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tuple]:
     # Each row is (t, t_plus, bel, pl, l, u, f) of the weights wp = t_plus * w0+
     # and wm = t_minus * w0-, one rounding each: (bel, pl) as
-    # belief_from_weights gives it, with BeliefInterval's repair on plain
-    # floats, and l, u, f as interval_from_counts and w+ / w (w > 0 after
-    # row 0; no repair: 0 <= wp <= w, rounding is monotone).  In each block
+    # belief_from_weights gives it, on plain floats, and l, u, f as
+    # interval_from_counts and w+ / w (w > 0 after row 0; no repair:
+    # 0 <= wp <= w, rounding is monotone).  In each block
     # the counts at its rows are read off a running sum, which is lazy:
     # nothing is kept per row.
     w0_plus, w0_minus = unit.w0_plus, unit.w0_minus
     total_steps = spec.steps
     t = t_plus = 0  # the counts at the end of the blocks so far
+    # islice takes no index above sys.maxsize; no block has more than _LANES + 1 running sums
+    stride = min(record_every, _LANES + 1)
     yield (0, 0, 0.0, 1.0, 0.0, 1.0, None)
     for block in _outcome_blocks(spec):
         first = t + record_every - t % record_every  # the block's first recorded step, if it has one
         rows = zip(range(first, t + len(block) + 1, record_every),
-                   islice(accumulate(block, initial=t_plus), first - t, None, record_every))
+                   islice(accumulate(block, initial=t_plus), min(first - t, stride), None, stride))
         t, t_plus = t + len(block), t_plus + block.count(1)
         if t == total_steps and t % record_every:  # the final row, off the grid
             rows = chain(rows, ((t, t_plus),))
@@ -304,10 +303,7 @@ def _fold(spec: StreamSpec, unit: UnitWeights, record_every: int) -> Iterator[tu
             if wp - wm > _SATURATION_GAP:
                 bel = pl = 1.0
             else:
-                bel, _, width = _belief_parts(wp, wm)
-                pl = bel + width
-                if not 0.0 <= bel <= pl <= 1.0:
-                    bel, pl = _unit_pair(bel, pl, "bel", "pl", SUM_TOLERANCE)
+                bel, pl, _, _ = _belief_parts(wp, wm)
             w = wp + wm  # below n * 37.43 (the unit weights' bound): finite for 4.8e306 steps
             scale = w + 1.0
             yield n, n_plus, bel, pl, wp / scale, (wp + 1.0) / scale, wp / w

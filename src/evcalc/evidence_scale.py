@@ -129,21 +129,22 @@ def belief_from_weights(w: EvidenceWeights) -> BeliefInterval:
     Bayesian point 1 / (1 + e^{delta}), which carries nothing.
     """
     if w.kind == FINITE:
-        bel, m_not_h, width = _belief_parts(w.w_plus, w.w_minus)
-        return _carrying(bel, bel + width, m_not_h, width)
+        return _carrying(*_belief_parts(w.w_plus, w.w_minus))
     point = delta_limit(w.delta)
     return BeliefInterval(point, point)
 
 
-def _belief_parts(wp: float, wm: float) -> tuple[float, float, float]:
-    """(bel, 1 - pl, pl - bel) of finite weights (wp, wm), on floats and unrepaired."""
+def _belief_parts(wp: float, wm: float) -> tuple[float, float, float, float]:
+    """(bel, pl, 1 - pl, pl - bel) of finite weights (wp, wm), on floats; pl = bel + width, clamped to 1."""
     if wp > wm:  # scaled by e^-biggest, the bigger exponential is e^0 = 1 exactly
         biggest, scaled_p, scaled_m = wp, 1.0, math.exp(wm - wp)
     else:
         biggest, scaled_p, scaled_m = wm, math.exp(wp - wm), 1.0
     scaled_one = math.exp(-biggest)
     denom = scaled_p + scaled_m - scaled_one
-    return scaled_p * -math.expm1(-wp) / denom, scaled_m * -math.expm1(-wm) / denom, scaled_one / denom
+    bel, width = scaled_p * -math.expm1(-wp) / denom, scaled_one / denom
+    pl = bel + width
+    return bel, pl if pl <= 1.0 else 1.0, scaled_m * -math.expm1(-wm) / denom, width
 
 
 def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:

@@ -36,7 +36,7 @@ class FrequencyInterval(_Value):
         except _NOT_REAL:
             l, u = _real(l, "l"), _real(u, "u")
         if not 0.0 <= l <= u <= 1.0:
-            l, u = _unit_pair(l, u, "l", "u", POINT_TOLERANCE)
+            l, u = _unit_pair(l, u, "l", "u")
         fields = self.__dict__
         fields["l"] = l
         fields["u"] = u
@@ -255,5 +255,4 @@ def belpl_from_lu(fi: FrequencyInterval) -> BeliefInterval:
     if not 0.0 <= wp <= wt < math.inf:
         wp, wt = _check_counts(wp, wt)
     # checked counts give weights that pass EvidenceWeights' check
-    bel, m_not_h, width = _belief_parts(wp, wt - wp)
-    return _carrying(bel, bel + width, m_not_h, width)
+    return _carrying(*_belief_parts(wp, wt - wp))

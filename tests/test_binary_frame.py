@@ -115,6 +115,15 @@ def test_mass_to_interval_keeps_a_mass_that_one_minus_pl_rounds_away():
     assert interval_to_mass(iv).m_not_h == 1e-20
 
 
+def test_mass_to_interval_clamps_a_pl_one_ulp_above_one():
+    # m_h + m_theta rounds to 1.0000000000000002 here
+    m = MassAssignment(0.19706413567043535, 0.0, 0.8029358643295652)
+    assert m.m_h + m.m_theta > 1.0
+    iv = mass_to_interval(m)
+    assert iv.pl == 1.0
+    assert iv.masses() == (m.m_h, 0.0, m.m_theta)
+
+
 @pytest.mark.parametrize(
     "mass",
     [(0.3, 0.7, 0.0), (0.3, 0.7, 5e-324), (0.6, 0.4, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)],

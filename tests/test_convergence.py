@@ -407,6 +407,15 @@ def test_a_stride_past_the_run_records_the_start_and_final_rows(spec):
         assert run_dual_track(spec, UNIT, record_every=stride).to_csv() == csv
 
 
+@pytest.mark.parametrize("stride", [sys.maxsize, sys.maxsize + 1, 10**20])
+def test_a_stride_past_sys_maxsize_records_no_row_in_a_block(monkeypatch, stride):
+    # islice takes no index above sys.maxsize; a run of sys.maxsize steps takes
+    # strides up to it and past it, and none records a row in its first blocks
+    monkeypatch.setattr(convergence, "_outcome_blocks", lambda spec: iter([b"\x01\x00" * 512] * 3))
+    spec = StreamSpec(mode="frequency_faithful", steps=sys.maxsize, q=0.5)
+    assert run_dual_track(spec, UNIT, record_every=stride).rows == (TrajectoryRow(0, 0, 0.0, 1.0, 0.0, 1.0, None),)
+
+
 def test_unit_weight_whose_support_rounds_to_one_is_rejected():
     # from 54 ln 2 on, 1 - e^-w rounds to 1: one outcome would be certain
     # evidence, and iterating the rule over it would no longer be adding
@@ -426,7 +435,7 @@ def test_belief_parts_round_onto_one_above_the_saturation_gap(wm, gap):
     # the fold's (1.0, 1.0) above the gap is what the closed form gives there
     wp = wm + gap
     assume(wp - wm > _SATURATION_GAP)
-    bel, _, width = _belief_parts(wp, wm)
+    bel, _, _, width = _belief_parts(wp, wm)
     assert bel == 1.0 and bel + width == 1.0
 
 
@@ -434,7 +443,7 @@ def test_belief_parts_below_the_saturation_gap_need_not_round_onto_one():
     # at wp = 53 ln 2, e^-wp is about 2**-53, a whole float spacing below 1,
     # and bel falls one ulp short of 1; between there and the gap the closed
     # form itself gives the rows
-    bel, _, width = _belief_parts(53 * math.log(2), 0.0)
+    bel, _, _, width = _belief_parts(53 * math.log(2), 0.0)
     assert (bel, bel + width) == (0.9999999999999999, 1.0)
     assert _SATURATION_GAP == 54 * math.log(2)
 

@@ -9,17 +9,17 @@ explicit examples are the worst inputs those draws found.
 import math
 from decimal import Decimal
 
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from evcalc import (
-    BeliefInterval, EvidenceWeights, FrequencyInterval, belief_from_weights, belpl_from_lu, bernoulli_combine,
-    combine_lu, delta_limit, frequency, interval_from_counts, lu_from_belpl, multiply_combine, support_from_weight,
-    weights_from_belief,
+    BeliefInterval, EvidenceWeights, FrequencyInterval, MassAssignment, TotalConflictError, belief_from_weights,
+    belpl_from_lu, bernoulli_combine, combine_lu, combine_mass, delta_limit, frequency, interval_from_counts,
+    interval_to_mass, lu_from_belpl, mass_to_interval, multiply_combine, support_from_weight, weights_from_belief,
 )
-from highprec import belief, context, counts, logistic, lu_rule, support, ulps, weights
+from highprec import belief, context, counts, dempster, logistic, lu_rule, support, ulps, weights
 from highprec import frequency as exact_frequency
-from strategies import evidence_counts
+from strategies import evidence_counts, mass_assignments
 
 ONE = Decimal(1)
 
@@ -172,3 +172,58 @@ def test_belpl_from_lu_is_within_160_ulps(fi):
         pl = bel + width
     assert ulps(got.bel, bel) <= 160.0
     assert ulps(got.pl, pl) <= 160.0
+
+
+def masses_of(m):
+    return m.m_h, m.m_not_h, m.m_theta
+
+
+def normalized(*parts):
+    """The mass assignment of three parts over their sum, as the measured draws were built."""
+    total = (parts[0] + parts[1]) + parts[2]
+    return MassAssignment(*(part / total for part in parts))
+
+
+# mass assignments with each mass 0 or at least 1e-150, so that no product of two rounds in the
+# subnormal range, whose fixed spacing is no ulp of the result
+rule_masses = mass_assignments().filter(lambda m: all(x == 0.0 or x >= 1e-150 for x in masses_of(m)))
+
+
+@given(rule_masses, rule_masses)
+@example(normalized(0.2781709243488242, 0.5352326859716439, 0.01014104145767589),
+         normalized(0.08799304134320707, 0.8969015407020456, 0.012833329760269166))  # m_h: 3.94 ulps
+@example(normalized(0.4001437962261768, 0.06482639902572299, 0.009090916174437857),
+         normalized(0.4984052313630449, 0.32370256824405425, 0.11546125209888672))  # m_not_h: 4.13 ulps
+@example(normalized(0.7776003820701424, 0.5619404813688429, 0.01605889852939305),
+         normalized(0.5816669500418932, 0.8145022410492628, 0.8400417641503444))  # m_theta: 3.84 ulps
+def test_combine_mass_is_within_5_ulps(m1, m2):
+    try:
+        got = combine_mass(m1, m2)
+    except TotalConflictError:
+        reject()
+    for part, exact in zip(masses_of(got), dempster(masses_of(m1), masses_of(m2))):
+        assert ulps(part, exact) <= 5.0
+
+
+# plain intervals 0 <= bel <= pl <= 1, whose masses (bel, 1 - pl, pl - bel) sum to 1 exactly
+@given(st.tuples(unit, unit).map(lambda p: BeliefInterval(*sorted(p))))
+@example(BeliefInterval(0.21899323367367876, 0.44895642981793443))  # m_h: 1.00 ulp
+@example(BeliefInterval(0.005238165158455487, 0.018309842688335572))  # m_not_h: 0.97 ulps
+@example(BeliefInterval(0.04358965037656718, 0.15212103370309865))  # m_theta: 1.50 ulps
+def test_interval_to_mass_is_within_2_ulps(iv):
+    got = interval_to_mass(iv)
+    with context():
+        bel, pl = Decimal(iv.bel), Decimal(iv.pl)
+        exact = bel, ONE - pl, pl - bel
+    for part, e in zip(masses_of(got), exact):
+        assert ulps(part, e) <= 2.0
+
+
+@given(mass_assignments())
+@example(normalized(0.6013764890347786, 0.7162285829346902, 0.528378746039572))  # pl: 0.50 ulps
+def test_mass_to_interval_is_within_1_ulp(m):
+    iv = mass_to_interval(m)
+    assert (iv.bel, *iv._carried) == masses_of(m)  # copied, not computed
+    with context():
+        pl = Decimal(m.m_h) + Decimal(m.m_theta)
+    assert ulps(iv.pl, pl) <= 1.0

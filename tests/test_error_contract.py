@@ -1,12 +1,18 @@
 """One error contract for every public entry point.
 
-A call with one hostile argument, every other argument valid, either
-returns or raises one of evcalc's four errors: never a TypeError,
-OverflowError, bare ValueError or any other exception.  The hostile values
-come from one strategy: None, strings, bytes, containers, bools, ints past
-float range and past the interpreter's digit limit for str(), nan and the
-infinities, Decimals (NaN, signaling NaN and past float range included),
-Fractions, complex numbers and a plain object().
+A constructor, parser or scalar function called with one hostile argument,
+every other argument valid, either returns or raises one of evcalc's four
+errors: never a TypeError, OverflowError, bare ValueError or any other
+exception.  The hostile values come from one strategy: None, strings,
+bytes, containers, bools, ints past float range and past the interpreter's
+digit limit for str(), nan and the infinities, Decimals (NaN, signaling NaN
+and past float range included), Fractions, complex numbers and a plain
+object().
+
+The maps between values take value objects.  A map given anything else in
+place of one (None, a string, a list, a dict, a float, an object()) reads
+a field that is not there and raises AttributeError; the maps run no
+isinstance check, which would cost every call.
 """
 
 import math
@@ -30,12 +36,35 @@ from evcalc import (
     UnitWeights,
     ValidationError,
     ZeroEvidenceError,
+    add_weights,
+    belief_from_weights,
+    belpl_from_lu,
     bernoulli_combine,
+    check_limits,
     classify_limit,
+    combine_interval,
+    combine_lu,
+    combine_mass,
+    combine_points,
+    combine_with_point,
+    counts_from_interval,
+    counts_from_weights,
     delta_limit,
+    frequency,
+    generate_stream,
+    ignorance,
+    interval_from_counts,
+    interval_to_mass,
+    lu_from_belpl,
+    lu_from_weights,
+    mass_to_interval,
     multiply_combine,
+    pool_lu,
+    positive_proportion,
     run_dual_track,
     support_from_weight,
+    weights_from_belief,
+    weights_from_counts,
 )
 
 CONTRACT = (ValidationError, InfiniteEvidenceError, ZeroEvidenceError, TotalConflictError)
@@ -118,3 +147,49 @@ def test_a_hostile_argument_returns_or_raises_an_evcalc_error(call, value):
         call(value)
     except CONTRACT:
         pass
+
+
+IV = BeliefInterval(0.2, 0.7)
+MASS = MassAssignment(0.2, 0.3, 0.5)
+FI = FrequencyInterval(0.2, 0.7)
+POINT = FrequencyInterval.point(0.5)
+COUNTS = EvidenceCounts(6.0, 10.0)
+WEIGHTS = EvidenceWeights.finite(1.0, 2.0)
+FAITHFUL = StreamSpec(mode="frequency_faithful", steps=5, q=0.5)
+
+MAPS = [
+    *positional("combine_interval", combine_interval, IV, IV),
+    *positional("combine_mass", combine_mass, MASS, MASS),
+    *positional("interval_to_mass", interval_to_mass, IV),
+    *positional("mass_to_interval", mass_to_interval, MASS),
+    *positional("belief_from_weights", belief_from_weights, WEIGHTS),
+    *positional("weights_from_belief", weights_from_belief, IV),
+    *positional("add_weights", add_weights, WEIGHTS, WEIGHTS),
+    *positional("positive_proportion", positive_proportion, IV),
+    ("classify_limit-unit", lambda x: classify_limit(0.5, x)),
+    *positional("interval_from_counts", interval_from_counts, COUNTS),
+    *positional("counts_from_interval", counts_from_interval, FI),
+    *positional("frequency", frequency, FI),
+    *positional("ignorance", ignorance, FI),
+    *positional("combine_lu", combine_lu, FI, FI),
+    *positional("combine_with_point", combine_with_point, POINT, FI),
+    *positional("combine_points", combine_points, POINT, POINT),
+    *positional("pool_lu", pool_lu, FI, FI),
+    *positional("weights_from_counts", weights_from_counts, COUNTS),
+    *positional("counts_from_weights", counts_from_weights, WEIGHTS),
+    *positional("lu_from_weights", lu_from_weights, WEIGHTS),
+    *positional("lu_from_belpl", lu_from_belpl, IV),
+    *positional("belpl_from_lu", belpl_from_lu, FI),
+    *positional("generate_stream", generate_stream, FAITHFUL),
+    *positional("run_dual_track", run_dual_track, FAITHFUL, UnitWeights()),
+    *positional("check_limits", check_limits, run_dual_track(FAITHFUL), FAITHFUL, UnitWeights()),
+]
+
+NOT_VALUES = [None, "x", [1], {"bel": 0.2, "pl": 0.7}, 1.5, object()]
+
+
+@pytest.mark.parametrize("value", NOT_VALUES, ids=["None", "str", "list", "dict", "float", "object"])
+@pytest.mark.parametrize("call", [call for _, call in MAPS], ids=[name for name, _ in MAPS])
+def test_a_map_given_a_non_value_raises_attribute_error(call, value):
+    with pytest.raises(AttributeError):
+        call(value)

@@ -43,7 +43,7 @@ from evcalc import (
     weights_from_counts,
 )
 from evcalc.binary_frame import _clamp_unit, _unit_pair
-from evcalc.lower_upper import POINT_TOLERANCE, _check_counts
+from evcalc.lower_upper import _check_counts
 
 EDGES = [0.0, -0.0, 1.0, 0.5, 1e-12, -1e-12, -5e-13, 1.0 + 5e-13, 1.0 + 1e-12, 1.0 - 1e-12, 2.0, -1.0,
          5e-324, 1e308, math.nan, math.inf, -math.inf]
@@ -87,13 +87,13 @@ def fields(cls):
 
 @given(reals, reals)
 def test_belief_interval_equals_its_repair(bel, pl):
-    repair = lambda b, p: _unit_pair(float(b), float(p), "bel", "pl", SUM_TOLERANCE)  # noqa: E731
+    repair = lambda b, p: _unit_pair(float(b), float(p), "bel", "pl")  # noqa: E731
     assert outcome(fields(BeliefInterval), bel, pl) == outcome(repair, bel, pl)
 
 
 @given(reals, reals)
 def test_frequency_interval_equals_its_repair(l, u):
-    repair = lambda lo, hi: _unit_pair(float(lo), float(hi), "l", "u", POINT_TOLERANCE)  # noqa: E731
+    repair = lambda lo, hi: _unit_pair(float(lo), float(hi), "l", "u")  # noqa: E731
     assert outcome(fields(FrequencyInterval), l, u) == outcome(repair, l, u)
 
 

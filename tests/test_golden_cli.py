@@ -30,6 +30,10 @@ whose value types each wrote their own JSON object.  Their `Infinity` and
 `-Infinity` are Python's json extension, which RFC 8259 and strict parsers
 reject and which evcalc reads back; a change that defines another encoding
 re-pins them on purpose.
+
+`defect-demo-pl-clamped` was added later: in its one row bel + width
+rounds to 1.0000000000000002, one ulp above 1, and the pl clamp in
+evidence_scale._belief_parts makes it 1.0.
 """
 
 import json
@@ -177,6 +181,8 @@ CASES = [
      0, '{"q": 0.5, "steps": 1000, "predicted_dempster_limit": 0.5, "final_bel": 0.5, "final_pl": 0.5, "final_l": 0.4995004995004995, "final_u": 0.5004995004995005, "final_f": 0.5, "dempster_gap_to_q": 0.0, "lower_frequency_gap_to_q": 0.0004995004995004826}\n', ''),
     ('defect-demo-unequal-weights', ['defect-demo', '--q', '0.3', '--steps', '500', '--w0-pos', '2', '--w0-neg', '0.5'],
      0, '{"q": 0.3, "steps": 500, "predicted_dempster_limit": 1.0, "final_bel": 1.0, "final_pl": 1.0, "final_l": 0.6302521008403361, "final_u": 0.6323529411764706, "final_f": 0.631578947368421, "dempster_gap_to_q": 0.7, "lower_frequency_gap_to_q": 0.3302521008403361}\n', ''),
+    ('defect-demo-pl-clamped', ['defect-demo', '--q', '1', '--steps', '1', '--w0-pos', '0.23563534375756282'],
+     0, '{"q": 1.0, "steps": 1, "predicted_dempster_limit": 1.0, "final_bel": 0.2099312750976913, "final_pl": 1.0, "final_l": 0.19069974402075335, "final_u": 1.0, "final_f": 1.0, "dempster_gap_to_q": 0.7900687249023087, "lower_frequency_gap_to_q": 0.8093002559792466}\n', ''),
     ('delta-demo-default-steps', ['delta-demo', '--delta', '2'],
      0, '{"delta": 2, "steps": 10000, "final_bel": 0.11920292202211755, "analytic_limit": 0.11920292202211755, "abs_difference": 0.0}\n', ''),
     ('delta-demo-symmetric', ['delta-demo', '--delta', '0', '--steps', '1000'],
