@@ -132,16 +132,19 @@ def interval_from_counts(c: EvidenceCounts) -> FrequencyInterval:
     return FrequencyInterval(c.w_plus / scale, (c.w_plus + 1.0) / scale)
 
 
-_POINT_COUNTS = "a point carries infinite evidence, finite counts do not exist"
+def _counts(fi: FrequencyInterval) -> tuple[float, float]:
+    """Checked counts (l / width, (1 - width) / width) of a non-point; a w_plus rounded past w_total snaps to it."""
+    l, u = fi.l, fi.u
+    if l == u:
+        raise InfiniteEvidenceError("a point carries infinite evidence, finite counts do not exist")
+    width = u - l
+    wp, wt = l / width, (1.0 - width) / width
+    return (wp, wt) if 0.0 <= wp <= wt < math.inf else _check_counts(wp, wt)
 
 
 def counts_from_interval(fi: FrequencyInterval) -> EvidenceCounts:
     """Invert interval_from_counts; points have no finite counts."""
-    l, u = fi.l, fi.u
-    if l == u:
-        raise InfiniteEvidenceError(_POINT_COUNTS)
-    width = u - l
-    return EvidenceCounts(l / width, (1.0 - width) / width)
+    return EvidenceCounts(*_counts(fi))
 
 
 def frequency(fi: FrequencyInterval) -> float:
@@ -169,7 +172,7 @@ def combine_lu(f1: FrequencyInterval, f2: FrequencyInterval) -> FrequencyInterva
     With widths i1, i2 the result is
     l = (l1*i2 + l2*i1) / (i1 + i2 - i1*i2), u = l + i1*i2 / (same), which
     is exactly addition of the underlying counts.  Total ignorance (0, 1)
-    is the identity.
+    is a two-sided identity: the other operand comes back.
     """
     l1, u1, l2, u2 = f1.l, f1.u, f2.l, f2.u
     if l1 == u1 or l2 == u2:
@@ -177,11 +180,16 @@ def combine_lu(f1: FrequencyInterval, f2: FrequencyInterval) -> FrequencyInterva
             "points cannot be pooled by the interval rule; "
             "use combine_with_point or combine_points"
         )
+    if l1 == 0.0 and u1 == 1.0:
+        return f2
+    if l2 == 0.0 and u2 == 1.0:
+        return f1
     i1 = u1 - l1
     i2 = u2 - l2
     denom = i1 + i2 - i1 * i2
     shared = l1 * i2 + l2 * i1
-    return FrequencyInterval(shared / denom, (shared + i1 * i2) / denom)
+    u = (shared + i1 * i2) / denom  # can round one ulp above 1
+    return FrequencyInterval(shared / denom, u if u <= 1.0 else 1.0)
 
 
 def combine_with_point(point: FrequencyInterval, fi: FrequencyInterval) -> FrequencyInterval:
@@ -247,12 +255,6 @@ def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
 
 def belpl_from_lu(fi: FrequencyInterval) -> BeliefInterval:
     """Inverse of lu_from_belpl; a point has no finite counts (InfiniteEvidenceError)."""
-    l, u = fi.l, fi.u
-    if l == u:
-        raise InfiniteEvidenceError(_POINT_COUNTS)
-    width = u - l
-    wp, wt = l / width, (1.0 - width) / width
-    if not 0.0 <= wp <= wt < math.inf:
-        wp, wt = _check_counts(wp, wt)
+    wp, wt = _counts(fi)
     # checked counts give weights that pass EvidenceWeights' check
     return _carrying(*_belief_parts(wp, wt - wp))

@@ -13,9 +13,10 @@ from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from evcalc import (
-    BeliefInterval, EvidenceWeights, FrequencyInterval, MassAssignment, TotalConflictError, belief_from_weights,
-    belpl_from_lu, bernoulli_combine, combine_lu, combine_mass, delta_limit, frequency, interval_from_counts,
-    interval_to_mass, lu_from_belpl, mass_to_interval, multiply_combine, support_from_weight, weights_from_belief,
+    BeliefInterval, EvidenceCounts, EvidenceWeights, FrequencyInterval, MassAssignment, TotalConflictError,
+    belief_from_weights, belpl_from_lu, bernoulli_combine, combine_lu, combine_mass, counts_from_interval, delta_limit,
+    frequency, interval_from_counts, interval_to_mass, lu_from_belpl, lu_from_weights, mass_to_interval,
+    multiply_combine, support_from_weight, weights_from_belief,
 )
 from highprec import belief, context, counts, dempster, logistic, lu_rule, support, ulps, weights
 from highprec import frequency as exact_frequency
@@ -75,6 +76,34 @@ inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @example(0.47707193955935856, 0.0041249483424674604)  # 3.25 ulps
 def test_multiply_combine_is_within_3_5_ulps(b1, b2):
     assert ulps(multiply_combine(b1, b2), bayes_exact(b1, b2)) <= 3.5
+
+
+def lu_exact(wp, w):
+    """(w+ / (w + 1), (w+ + 1) / (w + 1)), the interval of the counts (w+, w)."""
+    with context():
+        wp, scale = Decimal(wp), Decimal(w) + ONE
+        return wp / scale, (wp + ONE) / scale
+
+
+@given(evidence_counts(max_total=50.0))
+@example(EvidenceCounts(8.06861004863433, 15.159658669275197))  # l: 1.49 ulps
+@example(EvidenceCounts(7.031149911771224, 15.16269693380078))  # u: 2.47 ulps
+def test_interval_from_counts_is_within_3_ulps(c):
+    got = interval_from_counts(c)
+    l, u = lu_exact(c.w_plus, c.w_total)
+    assert ulps(got.l, l) <= 3.0
+    assert ulps(got.u, u) <= 3.0
+
+
+@given(st.floats(0.0, 40.0), st.floats(0.0, 40.0))
+@example(31.054834476029672, 0.007180842029305018)  # l: 1.88 ulps
+@example(31.418254876466843, 0.5357093382786732)  # u: 2.86 ulps
+def test_lu_from_weights_is_within_3_5_ulps(wp, wm):
+    got = lu_from_weights(EvidenceWeights.finite(wp, wm))
+    with context():
+        l, u = lu_exact(wp, Decimal(wp) + Decimal(wm))
+    assert ulps(got.l, l) <= 3.5
+    assert ulps(got.u, u) <= 3.5
 
 
 # intervals of counts 0 <= w_plus <= w_total <= 50, as the kernels benchmark draws them, with
@@ -172,6 +201,16 @@ def test_belpl_from_lu_is_within_160_ulps(fi):
         pl = bel + width
     assert ulps(got.bel, bel) <= 160.0
     assert ulps(got.pl, pl) <= 160.0
+
+
+@given(counted_intervals)
+@example(FrequencyInterval(0.12390869269099244, 0.3745986498953912))  # w_plus: 1.46 ulps
+@example(FrequencyInterval(0.014631876066831771, 0.3498531749399355))  # w_total: 2.07 ulps
+def test_counts_from_interval_is_within_2_5_ulps(fi):
+    got = counts_from_interval(fi)
+    wp, w = counts(fi.l, fi.u)
+    assert ulps(got.w_plus, wp) <= 2.5
+    assert ulps(got.w_total, w) <= 2.5
 
 
 def masses_of(m):

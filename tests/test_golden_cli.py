@@ -34,6 +34,11 @@ re-pins them on purpose.
 `defect-demo-pl-clamped` was added later: in its one row bel + width
 rounds to 1.0000000000000002, one ulp above 1, and the pl clamp in
 evidence_scale._belief_parts makes it 1.0.
+
+`combine-lu-total-ignorance` was added later, with the fix that makes total
+ignorance an exact identity of combine_lu: the rule's arithmetic had
+printed `"u": 0.8999999999999999`, where Dempster's rule with the vacuous
+interval gives its other operand back unchanged.
 """
 
 import json
@@ -159,6 +164,8 @@ CASES = [
      1, '', 'error: bad counts object: [6, 10]\n'),
     ('combine-lu-interval-interval', ['combine', '--rule', 'lu', '{"kind":"interval","l":0.3,"u":0.5}', '{"kind":"interval","l":0.2,"u":0.9}'],
      0, '{"kind": "interval", "l": 0.32894736842105265, "u": 0.5131578947368421}\n', ''),
+    ('combine-lu-total-ignorance', ['combine', '--rule', 'lu', '{"kind":"interval","l":0,"u":1}', '{"kind":"interval","l":0.2,"u":0.9}'],
+     0, '{"kind": "interval", "l": 0.2, "u": 0.9}\n', ''),
     ('combine-lu-point-interval', ['combine', '--rule', 'lu', '{"kind":"point","value":0.25}', '{"kind":"interval","l":0.2,"u":0.9}'],
      0, '{"kind": "point", "value": 0.25}\n', ''),
     ('combine-lu-interval-point', ['combine', '--rule', 'lu', '{"kind":"interval","l":0.3,"u":0.5}', '{"kind":"point","value":0.25}'],

@@ -12,7 +12,15 @@ of one output, or turns a repair into an error, fails here.
 The combine_interval digest was re-pinned when that rule moved to mass
 coordinates and its results began to carry their complement and width;
 test_combine_interval_grid_is_near_a_200_bit_reference checks every one of
-those outcomes against the rule evaluated by highprec.
+those outcomes against the rule evaluated by highprec.  The combine_lu
+digest was re-pinned when total ignorance (0, 1) became an exact identity
+of that rule: each outcome that moved had a (0, 1) operand and now equals
+its other operand.
+
+The grid's random() draws leave 1 - l exact, so they never reach the
+counts snap of the frequency maps.  GOLDEN_ALL_POSITIVE pins a second
+group, all-positive intervals whose l has every mantissa bit drawn, taken
+before those maps shared one counts body and combine_lu clamped its u.
 """
 
 import hashlib
@@ -182,7 +190,7 @@ GOLDEN = {
     "EvidenceCounts": "c7ec797cab0fffb12d9e4646288053ee77de17503082536c6ee97afc7828edb3",
     "combine_interval": "4cd8739ebd30decccaaf6a82b789a6bc367e72d73fc70d216d1b8dac428c5a89",
     "combine_mass": "bf2e67a2a8d455cf9ddf6567d9910499f2c30abdce88c5d82743a26684182a89",
-    "combine_lu": "4fefa96be5ca064e2b468af463a5a14e0eeb1caabcbdc678c9ab7cfb2d5e1f0a",
+    "combine_lu": "de2d374ad55c76d044cbe00b17d257f0b8346cadddf9226111d6cc0c529e34ab",
     "belief_from_weights": "a74332027d9dc840fe9805db7cf1c8bcab47cdf1ca6027e7266bbab3e6ff0161",
     "weights_from_belief": "1bdad9744e29ee58ff9fec96d961fe0a39c207cdeac2a05d93453552e8079a3d",
     "lu_from_belpl": "88cb732cf0de9759acc8b849e72113eb6372bb8ca94f4b2a7e9e6987c7672c94",
@@ -254,6 +262,103 @@ def test_edge_results_are_pinned():
     # -1e-13 is inside the slack: clamped to 0, then the sum renormalized
     m = MassAssignment(0.5, 0.5 + 1e-13, -1e-13)
     assert _encode(m) == "MassAssignment(0x1.ffffffffffc7cp-2,0x1.00000000001c3p-1,0x0.0p+0;None)"
+
+
+def _all_positive() -> SimpleNamespace:
+    """All-positive intervals (l, 1.0) and (0, 5e-324), whose counts overflow, with a shuffle of them.
+
+    Each l is a uniform real rounded to a float with every mantissa bit drawn: random()'s 2**-53
+    grid leaves 1 - l exact, so its intervals never reach the counts snap or a pooled u above 1.
+    """
+    rng = random.Random(1302)
+    frequencies = [FrequencyInterval(rng.getrandbits(100) * 2.0**-100, 1.0) for _ in range(N)]
+    frequencies.append(FrequencyInterval(0.0, 5e-324))
+    return SimpleNamespace(frequencies=frequencies, shuffled=rng.sample(frequencies, len(frequencies)))
+
+
+def _chained_belief(fi):
+    return belief_from_weights(weights_from_counts(counts_from_interval(fi)))
+
+
+def _all_positive_grid() -> dict[str, list[str]]:
+    v = _all_positive()
+    return {
+        "counts_from_interval": [_outcome(counts_from_interval, fi) for fi in v.frequencies],
+        "belpl_from_lu": [_outcome(belpl_from_lu, fi) for fi in v.frequencies],
+        "belief_from_weights(weights_from_counts(counts_from_interval))": [
+            _outcome(_chained_belief, fi) for fi in v.frequencies
+        ],
+        "combine_lu": [_outcome(combine_lu, a, b) for a, b in zip(v.frequencies, v.shuffled)],
+    }
+
+
+GOLDEN_ALL_POSITIVE = {
+    "counts_from_interval": "8e9b2df1e875833e3d362c5f53b3e6b4ba3e4eac855c9d161b0de328355183bf",
+    "belpl_from_lu": "b02bfda77dd17004549a801e5b47fc86302a16da7818a1dd1f7484f8a0ed6037",
+    "belief_from_weights(weights_from_counts(counts_from_interval))": (
+        "b02bfda77dd17004549a801e5b47fc86302a16da7818a1dd1f7484f8a0ed6037"
+    ),
+    "combine_lu": "260414ce7840d1de3ec0e5ee63d66d84774507bca887ce9e88ca9ca897960fc8",
+}
+
+
+@pytest.fixture(scope="module")
+def all_positive_grid():
+    return _all_positive_grid()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ALL_POSITIVE))
+def test_all_positive_outputs_are_pinned(all_positive_grid, name):
+    digest = hashlib.sha256("\n".join(all_positive_grid[name]).encode()).hexdigest()
+    assert digest == GOLDEN_ALL_POSITIVE[name]
+
+
+def test_all_positive_group_reaches_the_counts_snap_and_a_pooled_u_above_one():
+    # the raw counts (l / width, (1 - width) / width) and pooled u, on floats as the maps compute them
+    def raw_counts(fi):
+        width = fi.u - fi.l
+        return fi.l / width, (1.0 - width) / width
+
+    def raw_pooled_u(a, b):
+        i1, i2 = a.u - a.l, b.u - b.l
+        return (a.l * i2 + b.l * i1 + i1 * i2) / (i1 + i2 - i1 * i2)
+
+    v = _all_positive()
+    assert FrequencyInterval.total_ignorance() not in v.frequencies
+    assert sum(wp > wt for wp, wt in map(raw_counts, v.frequencies)) >= 5
+    assert sum(raw_pooled_u(a, b) > 1.0 for a, b in zip(v.frequencies, v.shuffled)) >= 5
+
+
+def test_the_frequency_maps_hand_their_constructors_no_input_to_repair(monkeypatch):
+    # the constructors' repairs are for outside input: record every call that returns although
+    # its raw arguments lie outside the range the constructor's one-comparison test accepts
+    grid, group = _inputs(), _all_positive()  # built, and repaired where outside, before the patch
+    repaired = []
+
+    def recording(cls, in_range):
+        init = cls.__init__
+
+        def checked(self, a, b):
+            init(self, a, b)
+            if not in_range(a, b):
+                repaired.append((cls.__name__, a, b))
+
+        monkeypatch.setattr(cls, "__init__", checked)
+
+    recording(FrequencyInterval, lambda l, u: 0.0 <= l <= u <= 1.0)
+    recording(EvidenceCounts, lambda wp, wt: 0.0 <= wp <= wt < math.inf)
+    for fi, other in [*zip(grid.frequencies, grid.shuffled_freq), *zip(group.frequencies, group.shuffled)]:
+        _outcome(counts_from_interval, fi)
+        _outcome(belpl_from_lu, fi)
+        _outcome(combine_lu, fi, other)
+    for c in grid.value_counts:
+        _outcome(interval_from_counts, c)
+    for iv in grid.intervals + grid.built:
+        _outcome(lu_from_belpl, iv)
+    for w in grid.finite + grid.infinite:
+        _outcome(counts_from_weights, w)
+        _outcome(lu_from_weights, w)
+    assert repaired == [], f"{len(repaired)} repaired, the first {repaired[:3]}"
 
 
 def test_combine_interval_grid_is_near_a_200_bit_reference():
