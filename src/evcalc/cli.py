@@ -22,12 +22,11 @@ Each command imports, and so compiles, only the library modules it runs.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import json
 import os
 import sys
 from functools import reduce
+from types import SimpleNamespace
 
 from .errors import (
     InfiniteEvidenceError,
@@ -81,12 +80,9 @@ def _output(path: str | None = None):
         raise _UsageError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems exit 1, not argparse's default 2
-        raise _UsageError(message)
-
-
 def _load_json(text: str):
+    import json
+
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also an int past the digit limit, or too deep
@@ -217,52 +213,114 @@ def _cmd_delta_demo(args) -> tuple[int, dict]:
     }
 
 
-def _build_parser() -> _Parser:
+# each command: its handler, its help, its options as (flag, dest, type, choices, default, required, help)
+# and its positional as (dest, nargs, help) or None
+_COMMANDS = {
+    "combine": (_cmd_combine, "fold serialized values with one of the two rules",
+                [("--rule", "rule", str, RULES, None, True, None)],
+                ("values", "*", "JSON values; a JSON array on stdin if omitted")),
+    "convert": (_cmd_convert, "translate a value between representations",
+                [("--from", "source", str, FORMATS, None, True, None),
+                 ("--to", "target", str, FORMATS, None, True, None)],
+                ("value", "?", "JSON value; read from stdin if omitted")),
+    "simulate": (_cmd_simulate, "run a stream through both calculi, emit CSV",
+                 [("--q", "q", float, None, None, True, "chance of a positive outcome"),
+                  ("--steps", "steps", int, None, None, True, None),
+                  ("--seed", "seed", int, None, 0, False, None),
+                  ("--w0-pos", "w0_pos", float, None, 1.0, False, None),
+                  ("--w0-neg", "w0_neg", float, None, 1.0, False, None),
+                  ("--mode", "mode", str, ("bernoulli", "faithful"), "faithful", False, None),
+                  ("--record-every", "record_every", int, None, 1, False, None),
+                  ("--out", "out", str, None, None, False, "CSV file path; stdout if omitted")],
+                 None),
+    "defect-demo": (_cmd_defect_demo, "Dempster track versus frequency track at chance q",
+                    [("--q", "q", float, None, 0.7, False, None),
+                     ("--steps", "steps", int, None, 2000, False, None),
+                     ("--w0-pos", "w0_pos", float, None, 1.0, False, None),
+                     ("--w0-neg", "w0_neg", float, None, 1.0, False, None)],
+                    None),
+    "delta-demo": (_cmd_delta_demo, "fold against the analytic point 1/(1+e^delta)",
+                   [("--delta", "delta", float, None, None, True, None),
+                    ("--steps", "steps", int, None, 10_000, False, None)],
+                   None),
+}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The parsed command line when argv has the one canonical shape, else None.
+
+    The shape: a command, then each of its options at most once as `--flag value`, then its
+    positionals; no value or positional starts with "-", and every value converts and lies in its
+    choices.  The result holds what argparse gives for it.  Anything else (help, an abbreviation,
+    `--flag=value`, a usage error) is left to _build_parser()'s argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options, positional = _COMMANDS[argv[0]]
+    args = {"command": argv[0], "func": func}
+    flags = {option[0]: option for option in options}  # those not yet given
+    i = 1
+    while i < len(argv) and argv[i] in flags:
+        _, dest, convert, choices, _, _, _ = flags.pop(argv[i])
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            args[dest] = convert(argv[i + 1])
+        except ValueError:
+            return None
+        if choices is not None and args[dest] not in choices:
+            return None
+        i += 2
+    rest = argv[i:]
+    if any(token.startswith("-") for token in rest):
+        return None
+    for _, dest, _, _, default, required, _ in flags.values():
+        if required:
+            return None
+        args[dest] = default
+    if positional is None:
+        if rest:
+            return None
+    elif positional[1] == "*":
+        args[positional[0]] = rest
+    elif len(rest) > 1:
+        return None
+    else:
+        args[positional[0]] = rest[0] if rest else None
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser of _COMMANDS, for help, usage errors and the spellings _read_argv declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # usage problems exit 1, not argparse's default 2
+            raise _UsageError(message)
+
     parser = _Parser(prog="evcalc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("combine", help="fold serialized values with one of the two rules")
-    p.add_argument("--rule", required=True, choices=RULES)
-    p.add_argument("values", nargs="*", help="JSON values; a JSON array on stdin if omitted")
-    p.set_defaults(func=_cmd_combine)
-
-    p = sub.add_parser("convert", help="translate a value between representations")
-    p.add_argument("--from", dest="source", required=True, choices=FORMATS)
-    p.add_argument("--to", dest="target", required=True, choices=FORMATS)
-    p.add_argument("value", nargs="?", help="JSON value; read from stdin if omitted")
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("simulate", help="run a stream through both calculi, emit CSV")
-    p.add_argument("--q", type=float, required=True, help="chance of a positive outcome")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--w0-pos", type=float, default=1.0, dest="w0_pos")
-    p.add_argument("--w0-neg", type=float, default=1.0, dest="w0_neg")
-    p.add_argument("--mode", choices=("bernoulli", "faithful"), default="faithful")
-    p.add_argument("--record-every", type=int, default=1, dest="record_every")
-    p.add_argument("--out", help="CSV file path; stdout if omitted")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("defect-demo", help="Dempster track versus frequency track at chance q")
-    p.add_argument("--q", type=float, default=0.7)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--w0-pos", type=float, default=1.0, dest="w0_pos")
-    p.add_argument("--w0-neg", type=float, default=1.0, dest="w0_neg")
-    p.set_defaults(func=_cmd_defect_demo)
-
-    p = sub.add_parser("delta-demo", help="fold against the analytic point 1/(1+e^delta)")
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--steps", type=int, default=10_000)
-    p.set_defaults(func=_cmd_delta_demo)
-
+    for command, (func, text, options, positional) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, dest, convert, choices, default, required, text in options:
+            p.add_argument(flag, dest=dest, type=convert, choices=choices, default=default, required=required,
+                           help=text)
+        if positional is not None:
+            dest, nargs, text = positional
+            p.add_argument(dest, nargs=nargs, help=text)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
         code, result = args.func(args)
         if result is not None:
+            import json
+
             with _output() as write:
                 write(json.dumps(result).encode() + b"\n")
         return code

@@ -11,10 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import evcalc
 from evcalc import StreamSpec, run_dual_track
-from evcalc.cli import main
+from evcalc.cli import _COMMANDS, _build_parser, _read_argv, main
 
 
 def run_cli(capsys, *argv):
@@ -479,6 +481,50 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules):
     assert got == {"evcalc." + m for m in modules.split()}
 
 
+# the standard-library modules a call adds to a bare interpreter: argparse (with gettext, and
+# locale at its first translated string) only for help and usage errors, json only where JSON is
+# read or written
+@pytest.mark.parametrize(
+    "argv, json_loaded",
+    [
+        (None, False),
+        (["convert", "--from", "counts", "--to", "belpl", '{"w_plus": 1, "w_total": 2}'], True),
+        (["combine", "--rule", "dempster", '{"bel": 0.5, "pl": 1}', '{"bel": 0.5, "pl": 1}'], True),
+        (["combine", "--rule", "lu", '{"kind": "point", "value": 0.5}', '{"kind": "interval", "l": 0, "u": 1}'],
+         True),
+        (["simulate", "--q", "0.7", "--steps", "20", "--mode", "bernoulli"], False),
+        (["defect-demo", "--steps", "20"], True),
+        (["delta-demo", "--delta", "2", "--steps", "20"], True),
+    ],
+    ids=["import", "convert", "combine-dempster", "combine-lu", "simulate", "defect-demo", "delta-demo"],
+)
+def test_a_well_formed_command_loads_no_argparse(argv, json_loaded):
+    statement = "import evcalc.cli" if argv is None else f"from evcalc.cli import main\nassert main({argv!r}) == 0"
+    added = _loaded(statement) - _loaded("")
+    assert not added & {"argparse", "gettext", "locale"}
+    assert ("json" in added) == json_loaded
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["convert", "--from", "x", "--to", "lu", "1"]], ids=["help", "usage"])
+def test_help_and_usage_errors_load_argparse(argv):
+    statement = f"from evcalc.cli import main\ntry:\n    main({argv!r})\nexcept SystemExit:\n    pass"
+    assert "argparse" in _loaded(statement) - _loaded("")
+
+
+@pytest.mark.parametrize("argv", [["convert", "--from", "counts", "--to", "lu", '{"w_plus": 1, "w_total": 2}'],
+                                  ["simulate", "--q", "0.7", "--steps", "5", "--out", "run.csv"]],
+                         ids=["convert", "simulate"])
+def test_the_console_script_reads_sys_argv(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["evcalc", *argv])
+    csv, runs = tmp_path / "run.csv", []
+    for call in (lambda: main(argv), main):
+        code = call()
+        runs.append((code, capsys.readouterr(), csv.read_bytes() if csv.exists() else None))
+        csv.unlink(missing_ok=True)
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+
+
 # --- demos ---
 
 
@@ -703,3 +749,89 @@ def test_help_text_is_pinned(capsys, monkeypatch, command):
 @pytest.mark.parametrize("argv, quoted, bare", INVALID_CHOICE.values(), ids=list(INVALID_CHOICE))
 def test_invalid_choice_message_is_pinned(capsys, argv, quoted, bare):
     assert run_cli(capsys, *argv) == (1, "", quoted if _argparse_quotes_choices() else bare)
+
+
+# --- the table reader ---
+
+_ALL_OPTIONS = [option for _, _, options, _ in _COMMANDS.values() for option in options]
+_VALID = {float: ["0.5", "20", "1e3", "1_0", " 3", "nan"], int: ["7", "20", "1_0", " 3"], str: ["run.csv", ""]}
+_WORDS = ["-h", "--help", "--", "-", "-1", "1e3", "1_0", " 3", "nan", "lu", "x", '{"bel": 0.5, "pl": 1}', "{}", ""]
+
+
+@st.composite
+def _argvs(draw):
+    """A command or an unknown word, then some of its options in any order (one maybe twice) as
+    `--flag value` with the value valid or any word, positionals, and up to two tokens anywhere after
+    the command: a flag exact, abbreviated or as --flag=value, or a word argparse reads as help, a
+    separator, a number, a choice, JSON or ''."""
+    command = draw(st.sampled_from([*_COMMANDS, "zadeh"]))
+    options = _COMMANDS[command][2] if command in _COMMANDS else _ALL_OPTIONS
+    chosen = draw(st.permutations(options))[: draw(st.integers(0, len(options)))]
+    argv = [command]
+    for flag, _, convert, choices, *_ in chosen + draw(st.lists(st.sampled_from(options), max_size=1)):
+        valid = st.sampled_from(choices or _VALID[convert])
+        argv += [flag, draw(st.one_of(valid, st.sampled_from(_WORDS)))]
+    argv += draw(st.lists(st.sampled_from(_WORDS), max_size=2))
+    flag, word = st.sampled_from([option[0] for option in options]), st.sampled_from(_WORDS)
+    token = st.one_of(
+        flag,
+        flag.flatmap(lambda f: st.integers(3, len(f) - 1).map(lambda n: f[:n]) if len(f) > 3 else st.just(f)),
+        st.tuples(flag, word).map("=".join),
+        word,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(token))
+    return argv
+
+
+# the calls of the benchmark's simulate and cli_calls workloads, with their JSON values cut short
+_BENCH_CALLS = [
+    ["simulate", "--mode", "faithful", "--q", "0.7", "--steps", "100000", "--record-every", "1", "--out", "run.csv"],
+    ["simulate", "--mode", "bernoulli", "--seed", "281474976710655", "--q", "0.61", "--steps", "300000",
+     "--record-every", "10000", "--out", "run.csv"],
+    ["combine", "--rule", "dempster"],
+    ["combine", "--rule", "dempster", '{"bel": 0.5, "pl": 1}', '{"bel": 0.25, "pl": 0.5}'],
+    ["combine", "--rule", "lu"],
+    ["combine", "--rule", "lu", '{"kind": "point", "value": 0.2}', '{"kind": "point", "value": 0.9}'],
+    ["convert", "--from", "weights", "--to", "counts"],
+    ["convert", "--from", "lu", "--to", "belpl", '{"kind": "interval", "l": 0.2, "u": 0.5}'],
+]
+
+# argparse reads these, and the reader leaves them to it
+_DECLINED = [
+    ["simulate", "--q", "0.5", "--steps", "10", "--w0-pos", "-1"],  # argparse takes -1 as the value
+    ["combine", "--rul", "dempster"],  # an abbreviation
+    ["simulate", "--q", "0.5", "--q", "0.6", "--steps", "10"],  # argparse keeps the last
+    ["combine", "v1", "--rule", "lu", "v2"],  # argparse errors
+    ["convert", "--from", "lu", "--to", "belpl", "{}", "{}"],  # argparse errors: one value at most
+]
+
+
+def _fields(args) -> dict:
+    return {name: repr(value) for name, value in vars(args).items()}  # repr: nan equals nan
+
+
+@settings(max_examples=1000)
+@given(_argvs())
+@example(_DECLINED[0])
+@example(_DECLINED[1])
+@example(_DECLINED[2])
+@example(_DECLINED[3])
+@example(_DECLINED[4])
+@example(_BENCH_CALLS[0])
+@example(_BENCH_CALLS[1])
+@example(_BENCH_CALLS[2])
+@example(_BENCH_CALLS[3])
+@example(_BENCH_CALLS[4])
+@example(_BENCH_CALLS[5])
+@example(_BENCH_CALLS[6])
+@example(_BENCH_CALLS[7])
+def test_the_table_reader_agrees_with_argparse(argv):
+    args = _read_argv(argv)
+    if args is not None:
+        assert _fields(args) == _fields(_build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, accepted", [*((a, True) for a in _BENCH_CALLS), *((a, False) for a in _DECLINED)])
+def test_the_table_reader_takes_the_benchmark_calls_and_declines_other_spellings(argv, accepted):
+    assert (_read_argv(argv) is not None) == accepted

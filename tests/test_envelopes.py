@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from evcalc import (
     BeliefInterval, EvidenceCounts, EvidenceWeights, FrequencyInterval, MassAssignment, TotalConflictError,
-    belief_from_weights, belpl_from_lu, bernoulli_combine, combine_lu, combine_mass, counts_from_interval, delta_limit,
-    frequency, interval_from_counts, interval_to_mass, lu_from_belpl, lu_from_weights, mass_to_interval,
-    multiply_combine, support_from_weight, weights_from_belief,
+    add_weights, belief_from_weights, belpl_from_lu, bernoulli_combine, combine_lu, combine_mass, counts_from_interval,
+    delta_limit, frequency, interval_from_counts, interval_to_mass, lu_from_belpl, lu_from_weights, mass_to_interval,
+    multiply_combine, positive_proportion, support_from_weight, weights_from_belief,
 )
 from highprec import belief, context, counts, dempster, logistic, lu_rule, support, ulps, weights
 from highprec import frequency as exact_frequency
@@ -179,6 +179,26 @@ def test_lu_from_belpl_is_within_4_ulps(iv):
         l, u = wp / scale, (wp + 1) / scale
     assert ulps(got.l, l) <= 4.0
     assert ulps(got.u, u) <= 4.0
+
+
+@given(plain_intervals.filter(lambda iv: iv != BeliefInterval(0.0, 1.0)))
+@example(BeliefInterval(0.0027860553169758834, 0.3522136624771301))  # 3.50 ulps
+def test_positive_proportion_is_within_4_ulps(iv):
+    wp, wm = weights(iv.bel, iv.pl)
+    with context():
+        exact = wp / (wp + wm)
+    assert ulps(positive_proportion(iv), exact) <= 4.0
+
+
+# one correctly rounded sum per component: half an ulp is IEEE 754's bound, and ties reach it
+@given(st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0), st.floats(0.0, 40.0))
+@example(36.713144972624, 37.12334039493115, 25.576396520861895, 25.56290732805456)  # 0.50 ulps on each
+def test_add_weights_is_within_half_an_ulp(wp1, wm1, wp2, wm2):
+    got = add_weights(EvidenceWeights.finite(wp1, wm1), EvidenceWeights.finite(wp2, wm2))
+    with context():
+        wp, wm = Decimal(wp1) + Decimal(wp2), Decimal(wm1) + Decimal(wm2)
+    assert ulps(got.w_plus, wp) <= 0.5
+    assert ulps(got.w_minus, wm) <= 0.5
 
 
 # intervals of counts 1 <= w_total <= 50, or of no counts, (0, 1): below a w_total of 1 the map's

@@ -21,6 +21,9 @@ The grid's random() draws leave 1 - l exact, so they never reach the
 counts snap of the frequency maps.  GOLDEN_ALL_POSITIVE pins a second
 group, all-positive intervals whose l has every mantissa bit drawn, taken
 before those maps shared one counts body and combine_lu clamped its u.
+The grid's (-tiny, 1 + tiny) draws all collapse to (0, 1), so
+GOLDEN_ONE_END_REPAIRED pins combine_lu and the counts maps on intervals
+the constructor repaired at one end only.
 """
 
 import hashlib
@@ -359,6 +362,46 @@ def test_the_frequency_maps_hand_their_constructors_no_input_to_repair(monkeypat
         _outcome(counts_from_weights, w)
         _outcome(lu_from_weights, w)
     assert repaired == [], f"{len(repaired)} repaired, the first {repaired[:3]}"
+
+
+def _one_end_repaired() -> SimpleNamespace:
+    """Intervals the constructor repaired at one end only, (-t, u) with u < 1 and (l, 1 + t) with l > 0,
+    for 0 < t <= SLACK, with a shuffle of them; none is (0, 1).  Each l and u has every mantissa bit drawn.
+    """
+    rng = random.Random(2013)
+    t, end = lambda: SLACK * (1.0 - rng.random()), lambda: rng.getrandbits(100) * 2.0**-100
+    frequencies = []
+    for _ in range(N):
+        frequencies += [FrequencyInterval(-t(), end()), FrequencyInterval(end(), 1.0 + t())]
+    return SimpleNamespace(frequencies=frequencies, shuffled=rng.sample(frequencies, len(frequencies)))
+
+
+def _one_end_repaired_grid() -> dict[str, list[str]]:
+    v = _one_end_repaired()
+    return {
+        "combine_lu": [_outcome(combine_lu, a, b) for a, b in zip(v.frequencies, v.shuffled)],
+        "counts_from_interval": [_outcome(counts_from_interval, fi) for fi in v.frequencies],
+        "belpl_from_lu": [_outcome(belpl_from_lu, fi) for fi in v.frequencies],
+    }
+
+
+GOLDEN_ONE_END_REPAIRED = {
+    "combine_lu": "c36bf6f914d89e2b65cd0b7b996fa86d1374d2345767b26c1f4fdcf454721115",
+    "counts_from_interval": "fdaa3b6ae97fca8987de9228fc3f3649bbc94d6cf1d07d5444d0e1a842e18b8b",
+    "belpl_from_lu": "31269b70211696e82459243722e9565e35d64bef1a3116400599cf94621f6185",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ONE_END_REPAIRED))
+def test_one_end_repaired_outputs_are_pinned(name):
+    digest = hashlib.sha256("\n".join(_one_end_repaired_grid()[name]).encode()).hexdigest()
+    assert digest == GOLDEN_ONE_END_REPAIRED[name]
+
+
+def test_one_end_repaired_group_holds_no_total_ignorance():
+    v = _one_end_repaired()
+    assert FrequencyInterval.total_ignorance() not in v.frequencies
+    assert all((fi.l == 0.0) != (fi.u == 1.0) for fi in v.frequencies)
 
 
 def test_combine_interval_grid_is_near_a_200_bit_reference():
