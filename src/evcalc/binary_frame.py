@@ -5,8 +5,9 @@ frame (the empty set carries none).  At this frame size the induced belief
 and plausibility functions collapse to the single pair (Bel({H}), Pl({H})),
 so both forms are kept as first-class, losslessly convertible value types:
 the combination rule is naturally stated on masses, while most reasoning and
-all the weight-of-evidence machinery works on intervals.  The module-level
-_carrying builds every interval that carries its masses, for every module.
+all the weight-of-evidence machinery works on intervals.  Every interval
+holds its masses: the constructor derives them from (bel, pl), and the
+module-level _carrying builds the library's own results with them as computed.
 
 Dempster's rule comes in a mass form and a (bel, pl) interval form, which
 call one rule body, _pool, on six masses; the interval form reads its
@@ -98,20 +99,16 @@ class MassAssignment(_Value):
 class BeliefInterval(_Value):
     """The pair (Bel({H}), Pl({H})); bel == pl is the Bayesian special case.
 
-    A value built by belief_from_weights, belpl_from_lu, combine_interval or
-    mass_to_interval also carries its complement 1 - pl and its width pl - bel
-    as that map computed them, each to full relative precision; the stored
-    pl is rounded, and rebuilding either part from (bel, pl) cancels near 1.
-    masses() hands out the carried parts where they exist.  Equality, hash,
-    repr and the {"bel", "pl"} wire format stay on (bel, pl) only, so a
-    carrying value equals the plain BeliefInterval(bel, pl) of the same pair.
+    Every value carries its complement 1 - pl and its width pl - bel.  The
+    constructor derives them from (bel, pl) after its repair; a value built
+    by belief_from_weights, belpl_from_lu, combine_interval or
+    mass_to_interval carries them as that map computed them, each to full
+    relative precision, where rebuilding them from the rounded pl cancels
+    near 1.  Equality, hash, repr and the {"bel", "pl"} wire format stay on
+    (bel, pl) only, so such a value equals BeliefInterval(bel, pl).
     """
 
     _fields = ("bel", "pl")
-
-    # (1 - pl, pl - bel) as carried, set only by the module's _carrying();
-    # plain values derive both parts from (bel, pl)
-    _carried = None
 
     def __init__(self, bel: float, pl: float):
         try:
@@ -123,6 +120,7 @@ class BeliefInterval(_Value):
         fields = self.__dict__
         fields["bel"] = bel
         fields["pl"] = pl
+        fields["_carried"] = (1.0 - pl, pl - bel)
 
     @property
     def is_bayesian(self) -> bool:
@@ -135,12 +133,10 @@ class BeliefInterval(_Value):
     def masses(self) -> tuple[float, float, float]:
         """Mass on {H}, {not-H} and the frame: (bel, 1 - pl, pl - bel).
 
-        The last two are the carried complement and width where the value
-        has them.  The three are not renormalized; interval_to_mass makes a
-        validated MassAssignment of them.
+        The last two are the carried complement and width.  The three are
+        not renormalized; interval_to_mass makes a validated MassAssignment
+        of them.
         """
-        if self._carried is None:
-            return self.bel, 1.0 - self.pl, self.pl - self.bel
         return (self.bel, *self._carried)
 
     @classmethod
@@ -177,8 +173,8 @@ def mass_to_interval(m: MassAssignment) -> BeliefInterval:
 def interval_to_mass(iv: BeliefInterval) -> MassAssignment:
     """Inverse of mass_to_interval; the frame keeps the width pl - bel.
 
-    Takes BeliefInterval.masses(), so a weight-built value keeps its carried
-    complement and width (renormalized like any other input).
+    Takes BeliefInterval.masses(), so the value's carried complement and
+    width go in as they are (renormalized like any other input).
     """
     return MassAssignment(*iv.masses())
 
@@ -204,18 +200,18 @@ def combine_mass(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
 def combine_interval(x1: BeliefInterval, x2: BeliefInterval) -> BeliefInterval:
     """Same rule on (bel, pl) pairs, in their masses (bel, 1 - pl, pl - bel).
 
-    Each operand's last two masses are read in place, carried or rebuilt as
-    masses() gives them.  The result carries the pooled complement and width,
-    so a chain of combinations keeps 1 - pl to full relative precision.  The
-    vacuous interval (0, 1) is a two-sided identity: the other one comes back.
+    Each operand's carried complement and width are read in place.  The
+    result carries the pooled complement and width, so a chain of
+    combinations keeps 1 - pl to full relative precision.  The vacuous
+    interval (0, 1) is a two-sided identity: the other one comes back.
     """
     bel1, pl1, bel2, pl2 = x1.bel, x1.pl, x2.bel, x2.pl
     if bel1 == 0.0 and pl1 == 1.0:
         return x2
     if bel2 == 0.0 and pl2 == 1.0:
         return x1
-    n1, t1 = x1._carried or (1.0 - pl1, pl1 - bel1)
-    n2, t2 = x2._carried or (1.0 - pl2, pl2 - bel2)
+    n1, t1 = x1._carried
+    n2, t2 = x2._carried
     h, nh, th = _pool(x1, x2, bel1, n1, t1, bel2, n2, t2)
     # renormalized as a MassAssignment is: the 1 - conflict normalizer keeps the
     # operands' rounding in the sum, which a chain would amplify; pl = 1 when nh = 0

@@ -126,7 +126,7 @@ def belief_from_weights(w: EvidenceWeights) -> BeliefInterval:
     stores pl = bel + width and carries the complement and width as
     computed, each to a few ulps relative, which is what lets
     weights_from_belief invert it losslessly.  Infinite weights give the
-    Bayesian point 1 / (1 + e^{delta}), which carries nothing.
+    Bayesian point 1 / (1 + e^{delta}), built by the constructor.
     """
     if w.kind == FINITE:
         return _carrying(*_belief_parts(w.w_plus, w.w_minus))
@@ -152,11 +152,10 @@ def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:
 
     A strictly inner interval has the finite preimage
     w+ = log(1 + bel / (pl - bel)), w- = log(1 + (1 - pl) / (pl - bel)).
-    A value built by belief_from_weights carries its complement 1 - pl and
-    width pl - bel as that map computed them, and they are read as carried,
-    so its weights come back to about 1e-15 relative; a plain (bel, pl)
-    value derives them by subtraction.  A Bayesian point (bel == pl)
-    carries infinite total weight, of which only delta survives.
+    They are read from the value's carried complement 1 - pl and width
+    pl - bel; belief_from_weights carries them as it computed them, so its
+    weights come back to about 1e-15 relative.  A Bayesian point
+    (bel == pl) carries infinite total weight, of which only delta survives.
     """
     bel, pl = iv.bel, iv.pl
     if bel == pl:
@@ -165,21 +164,18 @@ def weights_from_belief(iv: BeliefInterval) -> EvidenceWeights:
         if bel >= 1.0:
             return EvidenceWeights.infinite(-math.inf)
         return EvidenceWeights.infinite(math.log((1.0 - bel) / bel))
-    return EvidenceWeights.finite(*_finite_weights(bel, pl, iv._carried))
+    return EvidenceWeights.finite(*_finite_weights(bel, iv._carried))
 
 
-def _finite_weights(bel: float, pl: float, carried: tuple[float, float] | None) -> tuple[float, float]:
-    """(w+, w-) of the interval (bel, pl), bel != pl, with its carried (1 - pl, pl - bel) or None.
+def _finite_weights(bel: float, carried: tuple[float, float]) -> tuple[float, float]:
+    """(w+, w-) of an interval with bel != pl, from bel and its carried (1 - pl, pl - bel).
 
     Both are nonnegative and bounded, so EvidenceWeights and EvidenceCounts
     keep them as they are: bel != pl keeps bel / width below 2**54, so w+ <=
     log1p(2**54), about 37.43; a part is at most 1 and a width at least
     5e-324, so w- <= -log(5e-324), about 744.44.
     """
-    if carried is None:
-        m_not_h, width = 1.0 - pl, pl - bel
-    else:
-        m_not_h, width = carried
+    m_not_h, width = carried
     # log(1 + part / width), where a carried complement over a width near 5e-324 overflows
     ratio = m_not_h / width
     w_minus = math.log1p(ratio) if ratio != math.inf else math.log(m_not_h) - math.log(width)

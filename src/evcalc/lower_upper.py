@@ -248,7 +248,7 @@ def lu_from_belpl(iv: BeliefInterval) -> FrequencyInterval:
     if bel == pl:
         return lu_from_weights(weights_from_belief(iv))
     # interval_from_counts(counts_from_weights(...)) of the finite weights, on floats
-    wp, wm = _finite_weights(bel, pl, iv._carried)
+    wp, wm = _finite_weights(bel, iv._carried)
     scale = wp + wm + 1.0  # _finite_weights' bounds keep the counts (wp, wp + wm) inside their check
     return FrequencyInterval(wp / scale, (wp + 1.0) / scale)
 

@@ -18,6 +18,7 @@ from evcalc import (
     TotalConflictError,
     ValidationError,
     belief_from_weights,
+    belpl_from_lu,
     bernoulli_combine,
     combine_interval,
     combine_mass,
@@ -375,7 +376,7 @@ def _bits(*values):
 
 
 _points = st.one_of(st.sampled_from([0.0, 1.0]), unit_floats()).map(lambda p: BeliefInterval(p, p))
-# plain, carrying, vacuous and Bayesian-point operands
+# operands built from (bel, pl) and by the maps, vacuous ones and Bayesian points
 _operands = st.one_of(
     belief_intervals(),
     weighted_intervals(max_weight=40.0),
@@ -407,6 +408,35 @@ def test_combine_interval_is_the_rule_on_masses_bit_for_bit(x1, x2):
     bel, pl, carried = want
     assert _bits(got.bel, got.pl) == _bits(bel, pl)
     assert _bits(*got._carried) == _bits(*carried)
+
+
+_weighted = belief_from_weights(EvidenceWeights.finite(1.0, 2.0))
+# each way a BeliefInterval is built, and whether its constructor derived its parts
+_EVERY_BUILDER = [
+    pytest.param(BeliefInterval(0.2, 0.7), True, id="plain"),
+    pytest.param(BeliefInterval(-1e-13, 0.7), True, id="repaired-bel"),
+    pytest.param(BeliefInterval(0.2, 1.0 + 1e-13), True, id="repaired-pl"),
+    pytest.param(BeliefInterval(0.6 + 1e-13, 0.6), True, id="midpoint-collapse"),
+    pytest.param(BeliefInterval.from_dict({"bel": 0.1, "pl": 0.9999999999999999}), True, id="from_dict"),
+    pytest.param(BeliefInterval.vacuous(), True, id="vacuous"),
+    pytest.param(BeliefInterval(0.3, 0.3), True, id="bayesian-point"),
+    pytest.param(_weighted, False, id="belief_from_weights-finite"),
+    pytest.param(belief_from_weights(EvidenceWeights.infinite(2.0)), True, id="belief_from_weights-infinite"),
+    pytest.param(belpl_from_lu(FrequencyInterval(0.25, 0.5)), False, id="belpl_from_lu"),
+    pytest.param(mass_to_interval(MassAssignment(0.2, 0.3, 0.5)), False, id="mass_to_interval"),
+    pytest.param(combine_interval(BeliefInterval(0.2, 0.7), _weighted), False, id="combine_interval"),
+    pytest.param(
+        combine_interval(BeliefInterval.vacuous(), BeliefInterval(0.2, 0.7)), True, id="combine_interval-plain-identity"
+    ),
+    pytest.param(combine_interval(_weighted, BeliefInterval.vacuous()), False, id="combine_interval-carried-identity"),
+]
+
+
+@pytest.mark.parametrize("iv, derived", _EVERY_BUILDER)
+def test_every_belief_interval_holds_its_masses(iv, derived):
+    assert iv.masses() == (iv.bel, *iv._carried)
+    if derived:
+        assert _bits(*iv._carried) == _bits(1.0 - iv.pl, iv.pl - iv.bel)
 
 
 @pytest.mark.parametrize(

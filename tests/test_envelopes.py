@@ -1,28 +1,100 @@
 """Error envelopes of the scalar maps against a 61-digit reference.
 
 Each map is within a pinned number of ulps of tests/highprec.py's value of
-its closed form over the declared domain; the README's envelope table lists
-these bounds with the largest errors measured on uniform draws.  The
-explicit examples are the worst inputs those draws found.
+its closed form over the declared domain; PINS holds those bounds, and the
+README's envelope table lists them with the largest errors measured on
+uniform draws.  The explicit examples are the worst inputs those draws
+found.  Every public map has a pin or, in NOT_PINNED, a reason for none.
 """
 
+import inspect
 import math
+import re
 from decimal import Decimal
+from pathlib import Path
 
 from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
+import evcalc
 from evcalc import (
     BeliefInterval, EvidenceCounts, EvidenceWeights, FrequencyInterval, MassAssignment, TotalConflictError,
     add_weights, belief_from_weights, belpl_from_lu, bernoulli_combine, combine_lu, combine_mass, counts_from_interval,
-    delta_limit, frequency, interval_from_counts, interval_to_mass, lu_from_belpl, lu_from_weights, mass_to_interval,
-    multiply_combine, positive_proportion, support_from_weight, weights_from_belief,
+    counts_from_weights, delta_limit, frequency, ignorance, interval_from_counts, interval_to_mass, lu_from_belpl,
+    lu_from_weights, mass_to_interval, multiply_combine, positive_proportion, support_from_weight, weights_from_belief,
+    weights_from_counts,
 )
 from highprec import belief, context, counts, dempster, logistic, lu_rule, support, ulps, weights
 from highprec import frequency as exact_frequency
 from strategies import evidence_counts, mass_assignments
 
 ONE = Decimal(1)
+
+# Each map's pin in ulps, one for all its outputs, or one per output where the README's table splits them.
+PINS = {
+    "bernoulli_combine": 1.0,
+    "support_from_weight": 1.0,
+    "delta_limit": 2.5,
+    "multiply_combine": 3.5,
+    "combine_interval": 2.0,  # bel and pl, checked in test_kernel_golden.py
+    "combine_mass": 5.0,
+    "interval_to_mass": 2.0,
+    "mass_to_interval": 1.0,
+    "interval_from_counts": 3.0,
+    "counts_from_interval": 2.5,
+    "lu_from_weights": 3.5,
+    "combine_lu": 4.5,
+    "frequency": 2.5,
+    "belief_from_weights": {"bel": 40.0, "pl": 40.0, "carried 1 - pl": 40.0, "carried width": 4.0},
+    "weights_from_belief": 2.0,
+    "lu_from_belpl": 4.0,
+    "positive_proportion": 4.0,
+    "add_weights": 0.5,
+    "weights_from_counts": 0.5,
+    "counts_from_weights": 0.5,
+    "ignorance": 0.5,
+    "belpl_from_lu": 160.0,
+}
+
+# the public functions that return no float of their own computing, each with the reason
+NOT_PINNED = {
+    "classify_limit": "returns 0, 0.5 or 1 by a sign test",
+    "combine_points": "returns an operand or a ConflictReport of the operands' values",
+    "combine_with_point": "returns its point operand",
+    "pool_lu": "returns what combine_lu, combine_with_point or combine_points returns",
+    "generate_stream": "returns outcomes, not floats",
+    "run_dual_track": "the laboratory's row envelope is not drawn yet",
+    "check_limits": "reads run_dual_track's rows, whose envelope is not drawn yet",
+}
+
+
+def test_every_public_map_has_a_pin_or_a_reason():
+    public = {name for name in evcalc.__all__ if callable(obj := getattr(evcalc, name)) and not inspect.isclass(obj)}
+    assert not PINS.keys() & NOT_PINNED.keys()
+    assert PINS.keys() | NOT_PINNED.keys() == public
+    assert all(NOT_PINNED.values())
+
+
+def _readme_pins() -> dict:
+    """The pins of the README's "Error envelopes" table, in the form of PINS."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    table = text.split("## Error envelopes", 1)[1].split("| function |", 1)[1].split("\n\n", 1)[0]
+    pins = {}
+    for row in table.splitlines()[2:]:
+        function, _domain, _measured, pinned = (cell.strip() for cell in row.strip("|").split("|"))
+        name = re.match(r"`(\w+)`", function).group(1)
+        assert name not in pins, name
+        values = [float(pin) for pin in pinned.split(" / ")]
+        if len(values) == 1:
+            pins[name] = values[0]
+        else:
+            parts = [part.replace("`", "").strip() for part in function.split(",", 1)[1].split(" / ")]
+            pins[name] = dict(zip(parts, values, strict=True))
+    return pins
+
+
+def test_the_readme_table_lists_the_pins():
+    assert _readme_pins() == PINS
 
 
 def bernoulli_exact(s1, s2):
@@ -47,20 +119,20 @@ support_pairs = st.sampled_from([(0.0, 1e-8), (0.0, 1.0), (1.0 - 1e-8, 1.0)]).fl
 def test_bernoulli_combine_is_within_1_ulp(pair):
     s1, s2 = pair
     got = bernoulli_combine(s1, s2)
-    assert ulps(got, bernoulli_exact(s1, s2)) <= 1.0
+    assert ulps(got, bernoulli_exact(s1, s2)) <= PINS["bernoulli_combine"]
     assert got.hex() == bernoulli_combine(s2, s1).hex()
     assert math.copysign(1.0, got) == 1.0  # two zero supports of either sign pool to +0.0
 
 
 @given(st.floats(0.0, 745.0))
 def test_support_from_weight_is_within_1_ulp(w):
-    assert ulps(support_from_weight(w), support(w)) <= 1.0
+    assert ulps(support_from_weight(w), support(w)) <= PINS["support_from_weight"]
 
 
 @given(st.floats(-745.0, 745.0))
 @example(3.4457960150903375)  # 2.34 ulps
 def test_delta_limit_is_within_2_5_ulps(d):
-    assert ulps(delta_limit(d), logistic(d)) <= 2.5
+    assert ulps(delta_limit(d), logistic(d)) <= PINS["delta_limit"]
 
 
 def bayes_exact(b1, b2):
@@ -75,7 +147,7 @@ inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 @given(inner, inner)
 @example(0.47707193955935856, 0.0041249483424674604)  # 3.25 ulps
 def test_multiply_combine_is_within_3_5_ulps(b1, b2):
-    assert ulps(multiply_combine(b1, b2), bayes_exact(b1, b2)) <= 3.5
+    assert ulps(multiply_combine(b1, b2), bayes_exact(b1, b2)) <= PINS["multiply_combine"]
 
 
 def lu_exact(wp, w):
@@ -91,8 +163,8 @@ def lu_exact(wp, w):
 def test_interval_from_counts_is_within_3_ulps(c):
     got = interval_from_counts(c)
     l, u = lu_exact(c.w_plus, c.w_total)
-    assert ulps(got.l, l) <= 3.0
-    assert ulps(got.u, u) <= 3.0
+    assert ulps(got.l, l) <= PINS["interval_from_counts"]
+    assert ulps(got.u, u) <= PINS["interval_from_counts"]
 
 
 @given(st.floats(0.0, 40.0), st.floats(0.0, 40.0))
@@ -102,8 +174,8 @@ def test_lu_from_weights_is_within_3_5_ulps(wp, wm):
     got = lu_from_weights(EvidenceWeights.finite(wp, wm))
     with context():
         l, u = lu_exact(wp, Decimal(wp) + Decimal(wm))
-    assert ulps(got.l, l) <= 3.5
-    assert ulps(got.u, u) <= 3.5
+    assert ulps(got.l, l) <= PINS["lu_from_weights"]
+    assert ulps(got.u, u) <= PINS["lu_from_weights"]
 
 
 # intervals of counts 0 <= w_plus <= w_total <= 50, as the kernels benchmark draws them, with
@@ -122,14 +194,14 @@ count_intervals = (
 def test_combine_lu_is_within_4_5_ulps(f1, f2):
     got = combine_lu(f1, f2)
     l, u = lu_rule((f1.l, f1.u), (f2.l, f2.u))
-    assert ulps(got.l, l) <= 4.5
-    assert ulps(got.u, u) <= 4.5
+    assert ulps(got.l, l) <= PINS["combine_lu"]
+    assert ulps(got.u, u) <= PINS["combine_lu"]
 
 
 @given(count_intervals.filter(lambda fi: fi != FrequencyInterval.total_ignorance()))
 @example(FrequencyInterval(0.07229702285597922, 0.48886270526972936))  # 2.19 ulps
 def test_frequency_is_within_2_5_ulps(fi):
-    assert ulps(frequency(fi), exact_frequency((fi.l, fi.u))) <= 2.5
+    assert ulps(frequency(fi), exact_frequency((fi.l, fi.u))) <= PINS["frequency"]
 
 
 # belief_from_weights and belpl_from_lu go through exp, whose relative error is the absolute error
@@ -147,28 +219,29 @@ def test_belief_from_weights_is_within_40_ulps_and_its_width_within_4(wp, wm):
     bel, m_not_h, width = belief(wp, wm)
     with context():
         pl = bel + width
-    assert ulps(iv.bel, bel) <= 40.0
-    assert ulps(iv.pl, pl) <= 40.0
-    assert ulps(iv._carried[0], m_not_h) <= 40.0
-    assert ulps(iv._carried[1], width) <= 4.0
+    pins = PINS["belief_from_weights"]
+    assert ulps(iv.bel, bel) <= pins["bel"]
+    assert ulps(iv.pl, pl) <= pins["pl"]
+    assert ulps(iv._carried[0], m_not_h) <= pins["carried 1 - pl"]
+    assert ulps(iv._carried[1], width) <= pins["carried width"]
 
 
-# plain intervals 0 <= bel < pl <= 1, which carry no parts
+# intervals 0 <= bel < pl <= 1 built from (bel, pl), whose parts the constructor derives
 unit = st.floats(0.0, 1.0)
-plain_intervals = st.tuples(unit, unit).filter(lambda p: p[0] != p[1]).map(lambda p: BeliefInterval(*sorted(p)))
+pair_intervals = st.tuples(unit, unit).filter(lambda p: p[0] != p[1]).map(lambda p: BeliefInterval(*sorted(p)))
 
 
-@given(plain_intervals)
+@given(pair_intervals)
 @example(BeliefInterval(0.1922843094477601, 0.8974416455585511))  # w+: 1.53 ulps
 @example(BeliefInterval(0.17277734848446014, 0.90422099439984))  # w-: 1.51 ulps
 def test_weights_from_belief_is_within_2_ulps(iv):
     got = weights_from_belief(iv)
     wp, wm = weights(iv.bel, iv.pl)
-    assert ulps(got.w_plus, wp) <= 2.0
-    assert ulps(got.w_minus, wm) <= 2.0
+    assert ulps(got.w_plus, wp) <= PINS["weights_from_belief"]
+    assert ulps(got.w_minus, wm) <= PINS["weights_from_belief"]
 
 
-@given(plain_intervals)
+@given(pair_intervals)
 @example(BeliefInterval(0.0013519975212078483, 0.3466123885601221))  # l: 3.51 ulps
 @example(BeliefInterval(0.6375713608367674, 0.9986084960928462))  # u: 2.89 ulps
 def test_lu_from_belpl_is_within_4_ulps(iv):
@@ -177,17 +250,17 @@ def test_lu_from_belpl_is_within_4_ulps(iv):
     with context():
         scale = wp + wm + 1
         l, u = wp / scale, (wp + 1) / scale
-    assert ulps(got.l, l) <= 4.0
-    assert ulps(got.u, u) <= 4.0
+    assert ulps(got.l, l) <= PINS["lu_from_belpl"]
+    assert ulps(got.u, u) <= PINS["lu_from_belpl"]
 
 
-@given(plain_intervals.filter(lambda iv: iv != BeliefInterval(0.0, 1.0)))
+@given(pair_intervals.filter(lambda iv: iv != BeliefInterval(0.0, 1.0)))
 @example(BeliefInterval(0.0027860553169758834, 0.3522136624771301))  # 3.50 ulps
 def test_positive_proportion_is_within_4_ulps(iv):
     wp, wm = weights(iv.bel, iv.pl)
     with context():
         exact = wp / (wp + wm)
-    assert ulps(positive_proportion(iv), exact) <= 4.0
+    assert ulps(positive_proportion(iv), exact) <= PINS["positive_proportion"]
 
 
 # one correctly rounded sum per component: half an ulp is IEEE 754's bound, and ties reach it
@@ -197,8 +270,8 @@ def test_add_weights_is_within_half_an_ulp(wp1, wm1, wp2, wm2):
     got = add_weights(EvidenceWeights.finite(wp1, wm1), EvidenceWeights.finite(wp2, wm2))
     with context():
         wp, wm = Decimal(wp1) + Decimal(wp2), Decimal(wm1) + Decimal(wm2)
-    assert ulps(got.w_plus, wp) <= 0.5
-    assert ulps(got.w_minus, wm) <= 0.5
+    assert ulps(got.w_plus, wp) <= PINS["add_weights"]
+    assert ulps(got.w_minus, wm) <= PINS["add_weights"]
 
 
 # intervals of counts 1 <= w_total <= 50, or of no counts, (0, 1): below a w_total of 1 the map's
@@ -219,8 +292,8 @@ def test_belpl_from_lu_is_within_160_ulps(fi):
     with context():
         bel, _, width = belief(wp, w - wp)
         pl = bel + width
-    assert ulps(got.bel, bel) <= 160.0
-    assert ulps(got.pl, pl) <= 160.0
+    assert ulps(got.bel, bel) <= PINS["belpl_from_lu"]
+    assert ulps(got.pl, pl) <= PINS["belpl_from_lu"]
 
 
 @given(counted_intervals)
@@ -229,8 +302,8 @@ def test_belpl_from_lu_is_within_160_ulps(fi):
 def test_counts_from_interval_is_within_2_5_ulps(fi):
     got = counts_from_interval(fi)
     wp, w = counts(fi.l, fi.u)
-    assert ulps(got.w_plus, wp) <= 2.5
-    assert ulps(got.w_total, w) <= 2.5
+    assert ulps(got.w_plus, wp) <= PINS["counts_from_interval"]
+    assert ulps(got.w_total, w) <= PINS["counts_from_interval"]
 
 
 def masses_of(m):
@@ -261,10 +334,10 @@ def test_combine_mass_is_within_5_ulps(m1, m2):
     except TotalConflictError:
         reject()
     for part, exact in zip(masses_of(got), dempster(masses_of(m1), masses_of(m2))):
-        assert ulps(part, exact) <= 5.0
+        assert ulps(part, exact) <= PINS["combine_mass"]
 
 
-# plain intervals 0 <= bel <= pl <= 1, whose masses (bel, 1 - pl, pl - bel) sum to 1 exactly
+# intervals 0 <= bel <= pl <= 1 built from (bel, pl), whose masses (bel, 1 - pl, pl - bel) sum to 1 exactly
 @given(st.tuples(unit, unit).map(lambda p: BeliefInterval(*sorted(p))))
 @example(BeliefInterval(0.21899323367367876, 0.44895642981793443))  # m_h: 1.00 ulp
 @example(BeliefInterval(0.005238165158455487, 0.018309842688335572))  # m_not_h: 0.97 ulps
@@ -275,7 +348,7 @@ def test_interval_to_mass_is_within_2_ulps(iv):
         bel, pl = Decimal(iv.bel), Decimal(iv.pl)
         exact = bel, ONE - pl, pl - bel
     for part, e in zip(masses_of(got), exact):
-        assert ulps(part, e) <= 2.0
+        assert ulps(part, e) <= PINS["interval_to_mass"]
 
 
 @given(mass_assignments())
@@ -285,4 +358,33 @@ def test_mass_to_interval_is_within_1_ulp(m):
     assert (iv.bel, *iv._carried) == masses_of(m)  # copied, not computed
     with context():
         pl = Decimal(m.m_h) + Decimal(m.m_theta)
-    assert ulps(iv.pl, pl) <= 1.0
+    assert ulps(iv.pl, pl) <= PINS["mass_to_interval"]
+
+
+# one correctly rounded subtraction or sum, the other field copied: half an ulp is IEEE 754's bound
+@given(evidence_counts(max_total=50.0))
+@example(EvidenceCounts(7.00531889484258, 20.11315735658776))  # 0.50 ulps
+def test_weights_from_counts_is_within_half_an_ulp(c):
+    got = weights_from_counts(c)
+    with context():
+        wm = Decimal(c.w_total) - Decimal(c.w_plus)
+    assert got.w_plus == c.w_plus
+    assert ulps(got.w_minus, wm) <= PINS["weights_from_counts"]
+
+
+@given(st.floats(0.0, 40.0), st.floats(0.0, 40.0))
+@example(13.542989088506303, 28.343050583923084)  # 0.50 ulps
+def test_counts_from_weights_is_within_half_an_ulp(wp, wm):
+    got = counts_from_weights(EvidenceWeights.finite(wp, wm))
+    with context():
+        w = Decimal(wp) + Decimal(wm)
+    assert got.w_plus == wp
+    assert ulps(got.w_total, w) <= PINS["counts_from_weights"]
+
+
+@given(st.tuples(unit, unit).map(lambda p: FrequencyInterval(*sorted(p))))
+@example(FrequencyInterval(0.10003313496958682, 0.9849541604405785))  # 0.50 ulps
+def test_ignorance_is_within_half_an_ulp(fi):
+    with context():
+        width = Decimal(fi.u) - Decimal(fi.l)
+    assert ulps(ignorance(fi), width) <= PINS["ignorance"]

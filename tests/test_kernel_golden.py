@@ -15,7 +15,10 @@ test_combine_interval_grid_is_near_a_200_bit_reference checks every one of
 those outcomes against the rule evaluated by highprec.  The combine_lu
 digest was re-pinned when total ignorance (0, 1) became an exact identity
 of that rule: each outcome that moved had a (0, 1) operand and now equals
-its other operand.
+its other operand.  The BeliefInterval, combine_interval and
+belief_from_weights digests were re-pinned when every BeliefInterval began
+to hold its masses: each outcome that moved was a constructor-built value
+whose carried parts went from None to the (1 - pl, pl - bel) it derives.
 
 The grid's random() draws leave 1 - l exact, so they never reach the
 counts snap of the frequency maps.  GOLDEN_ALL_POSITIVE pins a second
@@ -35,6 +38,7 @@ from types import SimpleNamespace
 import pytest
 
 import highprec
+from test_envelopes import PINS
 from evcalc import (
     BeliefInterval,
     EvidenceCounts,
@@ -186,15 +190,15 @@ def _grid() -> dict[str, list[str]]:
 
 
 GOLDEN = {
-    "BeliefInterval": "14e78c9f714a7d256741867129b81c48d52402dd8f53051f0de7a931d10ad5cb",
+    "BeliefInterval": "64e4b5f7197d47f98c1dfec63e8f170eff5565a9d1e2904fefd118f62d612fd5",
     "FrequencyInterval": "4b1536a2a94634369239d510808bf47eae5b4f22bdef9233b9f3c249bcaad149",
     "MassAssignment": "2c8e6f75a0cc215cdf80ee7841a4dfd2397dcb686d7b4b2bdf375e24aa2812e8",
     "EvidenceWeights.finite": "4ab0576b32e7c8bcf43ec7fe5e711f45d2c0f61bb3e3c2b6ddc3307fc425b09c",
     "EvidenceCounts": "c7ec797cab0fffb12d9e4646288053ee77de17503082536c6ee97afc7828edb3",
-    "combine_interval": "4cd8739ebd30decccaaf6a82b789a6bc367e72d73fc70d216d1b8dac428c5a89",
+    "combine_interval": "7c6341637b4305d93abe73b8ffd6fe5d8a88212b99bdc81a96c62de278bf45c2",
     "combine_mass": "bf2e67a2a8d455cf9ddf6567d9910499f2c30abdce88c5d82743a26684182a89",
     "combine_lu": "de2d374ad55c76d044cbe00b17d257f0b8346cadddf9226111d6cc0c529e34ab",
-    "belief_from_weights": "a74332027d9dc840fe9805db7cf1c8bcab47cdf1ca6027e7266bbab3e6ff0161",
+    "belief_from_weights": "e6a316869a6470ea0d87daa91d6f80864f6287cc0a3c97ca93a99de29b00315e",
     "weights_from_belief": "1bdad9744e29ee58ff9fec96d961fe0a39c207cdeac2a05d93453552e8079a3d",
     "lu_from_belpl": "88cb732cf0de9759acc8b849e72113eb6372bb8ca94f4b2a7e9e6987c7672c94",
     "belpl_from_lu": "73269b51dd22f10c928898d26be601714eb6b6dfa07fbbd788f6d350bdee1969",
@@ -225,7 +229,7 @@ def test_grid_covers_repairs_errors_and_carried_values(grid):
     assert any(o.startswith("InfiniteEvidenceError") for o in grid["belpl_from_lu"])
     assert any(";(" in o for o in grid["belpl_from_lu"])
     assert any(";(" in o for o in grid["belief_from_weights"])
-    # Bayesian points and the vacuous interval, beside the proportions of plain and carried values
+    # Bayesian points and the vacuous interval, beside the proportions of constructor-built and map-built values
     assert any(o.startswith("InfiniteEvidenceError") for o in grid["positive_proportion"])
     assert any(o.startswith("ZeroEvidenceError") for o in grid["positive_proportion"])
 
@@ -418,4 +422,5 @@ def test_combine_interval_grid_is_near_a_200_bit_reference():
             for part, want in zip(got.masses(), exact):
                 assert abs(Decimal(part) - want) <= bound * want + smallest, (a, b, got.masses(), exact)
             pl = bel + width
-        assert highprec.ulps(got.bel, bel) <= 2 and highprec.ulps(got.pl, pl) <= 2, (a, b, got, exact)
+        assert highprec.ulps(got.bel, bel) <= PINS["combine_interval"], (a, b, got, exact)
+        assert highprec.ulps(got.pl, pl) <= PINS["combine_interval"], (a, b, got, exact)
