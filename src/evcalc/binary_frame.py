@@ -9,9 +9,9 @@ all the weight-of-evidence machinery works on intervals.  Every interval
 holds its masses: the constructor derives them from (bel, pl), and the
 module-level _carrying builds the library's own results with them as computed.
 
-Dempster's rule comes in a mass form and a (bel, pl) interval form, which
-call one rule body, _pool, on six masses; the interval form reads its
-operands' masses in place and builds its result with _carrying.
+Dempster's rule comes in a mass form and a (bel, pl) interval form.  _pool is
+the whole rule on six masses, both normalizations included, and each form builds
+its result from _pool's finished parts with _masses or _carrying, unchecked.
 Bernoulli's special case for same-direction simple supports is here too.
 Total conflict (all pooled mass on the empty set) is an error, not an
 absorbed state: the normalization constant is undefined there.
@@ -21,11 +21,21 @@ from __future__ import annotations
 
 import math
 
-from .errors import _NOT_REAL, TotalConflictError, ValidationError, _real, _Value, parse_object
+from .errors import _NOT_REAL, TotalConflictError, ValidationError, _number, _real, _Value, parse_object
 
-#: Tolerance for the sum-to-one invariant; inputs inside it are renormalized
-#: (serialized values accumulate decimal rounding noise).
+#: Tolerance for the sum-to-one invariant; outside input off by more than _SUM_BAND and
+#: no more than this is renormalized (serialized values accumulate decimal rounding noise).
 SUM_TOLERANCE = 1e-12
+
+# Masses whose float sum is within this of 1 are stored as they are.  The band holds the float sum t
+# of the quotients of any a, b, c >= 0 by their float sum s (s normal), so every stored mass is a
+# fixed point.  With u = 2**-53 and each rounding off by at most u relative: |s - (a + b + c)| <= 2u s;
+# the three quotients err by u (a + b + c) / s <= u (1 + 2u) together; their partial sum, below 2,
+# errs by u.  So the sum before its last rounding is within 4u + 2u**2 of 1, and t, on the grid
+# 1 + 2ku, 1 - ku, within 4u (a subnormal quotient errs by 2**-1075 at most).  2**-52 is too small:
+# 0x1.1eea86d451d6bp-1, 0x1.c22af2575c538p-2 and 0x1.14853ef6ba9b2p-49 over their sum 1 + 26u
+# sum to 1 - 3u.
+_SUM_BAND = 2.0**-51
 
 #: A combination whose normalization denominator falls below this is treated
 #: as total conflict.
@@ -64,7 +74,7 @@ def _unit_pair(lo: float, hi: float, lo_name: str, hi_name: str) -> tuple[float,
 
 
 class MassAssignment(_Value):
-    """Mass on {H}, {not-H} and the frame; must sum to one."""
+    """Mass on {H}, {not-H} and the frame; must sum to one, within _SUM_BAND or renormalized."""
 
     _fields = ("m_h", "m_not_h", "m_theta")
 
@@ -77,7 +87,7 @@ class MassAssignment(_Value):
             # field by field: the first field that is not a real in [0, 1] raises
             h, nh, th = _clamp_unit(m_h, "m_h"), _clamp_unit(m_not_h, "m_not_h"), _clamp_unit(m_theta, "m_theta")
         total = h + nh + th
-        if total != 1.0:
+        if total != 1.0 and not -_SUM_BAND <= total - 1.0 <= _SUM_BAND:  # the common exact sum first
             if not -SUM_TOLERANCE <= total - 1.0 <= SUM_TOLERANCE:
                 raise ValidationError(f"masses must sum to 1, got {total!r}")
             h, nh, th = h / total, nh / total, th / total
@@ -93,7 +103,7 @@ class MassAssignment(_Value):
 
     @classmethod
     def from_dict(cls, data) -> MassAssignment:
-        return parse_object("mass", data, lambda d: cls(float(d["m_h"]), float(d["m_not_h"]), float(d["m_theta"])))
+        return parse_object("mass", data, lambda d: cls(*[_number(d[name]) for name in cls._fields]))
 
 
 class BeliefInterval(_Value):
@@ -131,24 +141,19 @@ class BeliefInterval(_Value):
         return cls(0.0, 1.0)
 
     def masses(self) -> tuple[float, float, float]:
-        """Mass on {H}, {not-H} and the frame: (bel, 1 - pl, pl - bel).
-
-        The last two are the carried complement and width.  The three are
-        not renormalized; interval_to_mass makes a validated MassAssignment
-        of them.
-        """
+        """Mass on {H}, {not-H} and the frame: bel and the carried 1 - pl and pl - bel, as they are."""
         return (self.bel, *self._carried)
 
     @classmethod
     def from_dict(cls, data) -> BeliefInterval:
-        return parse_object("belief interval", data, lambda d: cls(float(d["bel"]), float(d["pl"])))
+        return parse_object("belief interval", data, lambda d: cls(_number(d["bel"]), _number(d["pl"])))
 
 
 def _carrying(bel: float, pl: float, m_not_h: float, m_theta: float) -> BeliefInterval:
     """The interval (bel, pl) of floats, carrying m_not_h = 1 - pl and m_theta = pl - bel.
 
     Writes every slot in one pass and repairs nothing: each caller meets 0 <= bel <= pl <= 1.
-    _belief_parts and mass_to_interval clamp their pl = bel + width to 1, and combine_interval's
+    _belief_parts and mass_to_interval clamp their pl = bel + width to 1, and _pool's
     pl = (h + th) / total is at most 1, as rounding keeps total = (h + nh) + th >= h + th.
     """
     iv = object.__new__(BeliefInterval)
@@ -158,6 +163,16 @@ def _carrying(bel: float, pl: float, m_not_h: float, m_theta: float) -> BeliefIn
     # not in _fields, so it stays out of ==, hash and repr
     fields["_carried"] = (m_not_h, m_theta)
     return iv
+
+
+def _masses(m_h: float, m_not_h: float, m_theta: float) -> MassAssignment:
+    """The masses as they are: each caller divides nonnegative floats by their float sum (_SUM_BAND)."""
+    m = object.__new__(MassAssignment)
+    fields = m.__dict__
+    fields["m_h"] = m_h
+    fields["m_not_h"] = m_not_h
+    fields["m_theta"] = m_theta
+    return m
 
 
 def mass_to_interval(m: MassAssignment) -> BeliefInterval:
@@ -171,17 +186,15 @@ def mass_to_interval(m: MassAssignment) -> BeliefInterval:
 
 
 def interval_to_mass(iv: BeliefInterval) -> MassAssignment:
-    """Inverse of mass_to_interval; the frame keeps the width pl - bel.
-
-    Takes BeliefInterval.masses(), so the value's carried complement and
-    width go in as they are (renormalized like any other input).
-    """
-    return MassAssignment(*iv.masses())
+    """Inverse of mass_to_interval: the value's masses, bel and its carried parts, over their float sum."""
+    h, nh, th = iv.masses()
+    total = h + nh + th
+    return _masses(h / total, nh / total, th / total)
 
 
-def _pool(first, second, h1: float, n1: float, t1: float, h2: float, n2: float, t2: float) -> tuple[float, float, float]:
-    """Pooled masses on {H}, {not-H} and the frame of the operands first and
-    second, whose masses are (h1, n1, t1) and (h2, n2, t2), normalized."""
+def _pool(first, second, h1: float, n1: float, t1: float, h2: float, n2: float, t2: float) -> tuple[float, float, float, float]:
+    """Dempster's rule on first and second, whose masses are (h1, n1, t1) and (h2, n2, t2): the
+    finished (bel, pl, 1 - pl, pl - bel) of the pooled masses, normalized twice."""
     conflict = h1 * n2 + n1 * h2
     if 1.0 - conflict < CONFLICT_TOLERANCE:
         raise TotalConflictError(first, second)
@@ -189,22 +202,23 @@ def _pool(first, second, h1: float, n1: float, t1: float, h2: float, n2: float, 
     # near total conflict 1 - conflict is all cancellation; the positive part
     # sum is the same normalizer without it
     denom = 1.0 - conflict if conflict <= 0.5 else h + nh + th
-    return h / denom, nh / denom, th / denom
+    h, nh, th = h / denom, nh / denom, th / denom
+    # 1 - conflict keeps the operands' rounding in the sum, which a chain would amplify; pl = 1 when nh = 0
+    total = h + nh + th
+    return h / total, (h + th) / total, nh / total, th / total
 
 
 def combine_mass(m1: MassAssignment, m2: MassAssignment) -> MassAssignment:
-    """Combine two mass assignments, renormalizing away conflicting mass."""
-    return MassAssignment(*_pool(m1, m2, m1.m_h, m1.m_not_h, m1.m_theta, m2.m_h, m2.m_not_h, m2.m_theta))
+    """Combine two mass assignments by Dempster's rule: the masses of _pool's finished parts."""
+    bel, _, m_not_h, m_theta = _pool(m1, m2, m1.m_h, m1.m_not_h, m1.m_theta, m2.m_h, m2.m_not_h, m2.m_theta)
+    return _masses(bel, m_not_h, m_theta)
 
 
 def combine_interval(x1: BeliefInterval, x2: BeliefInterval) -> BeliefInterval:
-    """Same rule on (bel, pl) pairs, in their masses (bel, 1 - pl, pl - bel).
+    """Same rule on (bel, pl) pairs, on their masses: each operand's carried 1 - pl and pl - bel in place.
 
-    Each operand's carried complement and width are read in place.  The
-    result carries the pooled complement and width, so a chain of
-    combinations keeps 1 - pl to full relative precision.  The vacuous
-    interval (0, 1) is a two-sided identity: the other one comes back.
-    """
+    The result carries _pool's complement and width, so a chain keeps 1 - pl to full relative
+    precision.  The vacuous interval (0, 1) is a two-sided identity: the other one comes back."""
     bel1, pl1, bel2, pl2 = x1.bel, x1.pl, x2.bel, x2.pl
     if bel1 == 0.0 and pl1 == 1.0:
         return x2
@@ -212,11 +226,7 @@ def combine_interval(x1: BeliefInterval, x2: BeliefInterval) -> BeliefInterval:
         return x1
     n1, t1 = x1._carried
     n2, t2 = x2._carried
-    h, nh, th = _pool(x1, x2, bel1, n1, t1, bel2, n2, t2)
-    # renormalized as a MassAssignment is: the 1 - conflict normalizer keeps the
-    # operands' rounding in the sum, which a chain would amplify; pl = 1 when nh = 0
-    total = h + nh + th
-    return _carrying(h / total, (h + th) / total, nh / total, th / total)
+    return _carrying(*_pool(x1, x2, bel1, n1, t1, bel2, n2, t2))
 
 
 def bernoulli_combine(s1: float, s2: float) -> float:

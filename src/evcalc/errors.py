@@ -59,6 +59,13 @@ def _real(value, name: str) -> float:
         raise ValidationError(f"{name} must be a real number, got {_shown(value)}") from None
 
 
+def _number(value) -> float:
+    """float(value) of a number read from JSON, where a JSON true or false is none (TypeError)."""
+    if value.__class__ is bool:
+        raise TypeError(f"a boolean is not a number: {value!r}")
+    return float(value)
+
+
 def parse_object(what: str, data, build):
     """build(data), with a malformed JSON object reported as `bad <what> object`."""
     try:

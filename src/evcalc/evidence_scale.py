@@ -16,7 +16,7 @@ import math
 
 from .binary_frame import SUM_TOLERANCE, BeliefInterval, _carrying
 from .errors import (
-    _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _shown, _Value, parse_object,
+    _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _number, _real, _shown, _Value, parse_object,
 )
 
 #: Exact-tie tolerance for the limit classification, relative to the size of
@@ -84,8 +84,8 @@ class EvidenceWeights(_Value):
         def build(d):
             kind = d["kind"]
             if kind == FINITE:
-                return cls(kind, float(d["w_plus"]), float(d["w_minus"]))
-            return cls(kind, delta=float(d["delta"]) if kind == INFINITE else None)
+                return cls(kind, _number(d["w_plus"]), _number(d["w_minus"]))
+            return cls(kind, delta=_number(d["delta"]) if kind == INFINITE else None)
         return parse_object("weights", data, build)
 
 

@@ -14,7 +14,7 @@ import math
 
 from .binary_frame import BeliefInterval, _carrying, _unit_pair
 from .errors import (
-    _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _real, _shown, _Value, parse_object,
+    _NOT_REAL, InfiniteEvidenceError, ValidationError, ZeroEvidenceError, _number, _real, _shown, _Value, parse_object,
 )
 from .evidence_scale import FINITE, EvidenceWeights, _belief_parts, _finite_weights, delta_limit, weights_from_belief
 
@@ -67,9 +67,9 @@ class FrequencyInterval(_Value):
         def build(d):
             kind = d["kind"]
             if kind == KIND_POINT:
-                return cls.point(float(d["value"]))
+                return cls.point(_number(d["value"]))
             if kind == KIND_INTERVAL:
-                return cls(float(d["l"]), float(d["u"]))
+                return cls(_number(d["l"]), _number(d["u"]))
             raise ValidationError(f"unknown frequency kind {_shown(kind)}")
         return parse_object("frequency", data, build)
 
@@ -95,7 +95,7 @@ class EvidenceCounts(_Value):
 
     @classmethod
     def from_dict(cls, data) -> EvidenceCounts:
-        return parse_object("counts", data, lambda d: cls(float(d["w_plus"]), float(d["w_total"])))
+        return parse_object("counts", data, lambda d: cls(_number(d["w_plus"]), _number(d["w_total"])))
 
 
 def _check_counts(wp: float, wt: float) -> tuple[float, float]:
@@ -226,10 +226,13 @@ def weights_from_counts(c: EvidenceCounts) -> EvidenceWeights:
 
 
 def counts_from_weights(w: EvidenceWeights) -> EvidenceCounts:
-    """The counts (w+, w+ + w-) of finite weights; infinite ones have none."""
+    """The counts (w+, w+ + w-) of finite weights; infinite ones, and finite ones whose total overflows, have none."""
     if not w.is_finite:
         raise InfiniteEvidenceError("infinite weight has no finite counts form")
-    return EvidenceCounts(w.w_plus, w.w_plus + w.w_minus)
+    total = w.w_plus + w.w_minus
+    if total == math.inf:
+        raise InfiniteEvidenceError(f"total weight {w.w_plus!r} + {w.w_minus!r} overflows, finite counts do not exist")
+    return EvidenceCounts(w.w_plus, total)
 
 
 def lu_from_weights(w: EvidenceWeights) -> FrequencyInterval:

@@ -179,6 +179,47 @@ def test_the_next_sum_outside_the_tolerance_raises(side):
     assert str(info.value) == f"masses must sum to 1, got {total!r}"
 
 
+U = 2.0**-53
+
+
+def _hexes(m: MassAssignment) -> tuple[str, ...]:
+    return tuple(getattr(m, name).hex() for name in MassAssignment._fields)
+
+
+# outside input: three parts over their sum, or a part in [1/2, 1], a second that leaves their sum a
+# few ulps off 1 and a third of a few ulps, where dividing by the sum reaches 1 - 3u
+outside_masses = st.one_of(
+    st.tuples(unit_floats(), unit_floats(), unit_floats())
+    .filter(lambda p: sum(p) > 0.0)
+    .map(lambda p: tuple(x / (p[0] + p[1] + p[2]) for x in p)),
+    st.tuples(st.floats(0.5, 1.0), st.integers(-8, 8), st.floats(0.0, 64 * U)).map(
+        lambda p: (p[0], 1.0 - p[0] + p[1] * U, p[2])
+    ),
+)
+
+
+@given(outside_masses, outside_masses, st.one_of(belief_intervals(), weighted_intervals()))
+# divided by their sum 1 + 26u these parts sum to 1 - 3u, which a band of 2**-52 would divide again
+@example(
+    tuple(map(float.fromhex, ("0x1.1eea86d451d6bp-1", "0x1.c22af2575c538p-2", "0x1.14853ef6ba9b2p-49"))),
+    (0.2, 0.3, 0.5),
+    BeliefInterval(0.2, 0.7),
+)
+# a combine_mass and an interval_to_mass result that the constructor divided again when it
+# renormalized every sum other than 1.0
+@example((0.5, 0.25, 0.25), (0.3, 0.3, 0.4), BeliefInterval(0.2, 0.3))
+def test_every_mass_value_is_a_fixed_point_of_its_constructor_and_the_wire(parts, other, iv):
+    m, n = MassAssignment(*parts), MassAssignment(*other)
+    values = [m, interval_to_mass(iv)]
+    try:
+        values.append(combine_mass(m, n))
+    except TotalConflictError:
+        pass
+    for value in values:
+        assert _hexes(MassAssignment(value.m_h, value.m_not_h, value.m_theta)) == _hexes(value)
+        assert _hexes(MassAssignment.from_dict(value.to_dict())) == _hexes(value)
+
+
 @pytest.mark.parametrize("interval", [(0.7, 0.2), (-0.1, 0.5), (0.5, 1.2), (float("nan"), 1.0)])
 def test_invalid_interval_rejected(interval):
     with pytest.raises(ValidationError):
@@ -238,6 +279,24 @@ def test_bad_json_rejected(cls, what, valid, case):
     assert cls.from_dict(valid).to_dict() == valid
     with pytest.raises(ValidationError, match=f"^bad {what} object: "):
         cls.from_dict(_malformed(valid, case))
+
+
+# the point and infinite forms beside PARSERS' interval and finite ones
+_ALL_FORMS = PARSERS + [
+    (FrequencyInterval, "frequency", {"kind": "point", "value": 0.5}),
+    (EvidenceWeights, "weights", {"kind": "infinite", "delta": 1.0}),
+]
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("cls, what, valid", _ALL_FORMS, ids=[f"{f[0].__name__}-{i}" for i, f in enumerate(_ALL_FORMS)])
+def test_a_json_boolean_is_not_a_number(cls, what, valid, flag):
+    # JSON true and false in a numeric field make a malformed object; the constructors
+    # still read a bool as float() does
+    for key in valid.keys() - {"kind"}:
+        with pytest.raises(ValidationError, match=f"^bad {what} object: "):
+            cls.from_dict({**valid, key: flag})
+    assert BeliefInterval(flag, True) == BeliefInterval(float(flag), 1.0)
 
 
 # (constructor, its fields in order, valid values for them)

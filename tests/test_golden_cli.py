@@ -39,6 +39,20 @@ evidence_scale._belief_parts makes it 1.0.
 ignorance an exact identity of combine_lu: the rule's arithmetic had
 printed `"u": 0.8999999999999999`, where Dempster's rule with the vacuous
 interval gives its other operand back unchanged.
+
+`combine-lu-unequal-points-051-099`, `convert-belpl-weights-half-point` and
+`convert-lu-counts-snap` were added later, taken from the CLI as it was
+before they were added, so that every check of the CI's installed-script
+step has a case here.  In the last, the raw counts (0.11111111111111112,
+0.11111111111111108) snap w_plus down to w_total.
+
+`convert-weights-counts-overflow` and `convert-weights-lu-overflow` were
+added with the fix that makes finite weights whose total overflows an
+undefined conversion (exit 2); the CLI had exited 1 with `error: counts
+must be finite and nonnegative, got (1e+308, inf)`.
+`convert-belpl-weights-boolean` was added with the fix that makes a JSON
+boolean in a numeric field a malformed value (exit 1); the CLI had read
+true as 1 and printed `{"kind": "infinite", "delta": -Infinity}`.
 """
 
 import json
@@ -68,6 +82,10 @@ CASES = [
      0, '{"kind": "infinite", "delta": Infinity}\n', ''),
     ('convert-belpl-weights-certainly', ['convert', '--from', 'belpl', '--to', 'weights', '{"bel":1,"pl":1}'],
      0, '{"kind": "infinite", "delta": -Infinity}\n', ''),
+    ('convert-belpl-weights-half-point', ['convert', '--from', 'belpl', '--to', 'weights', '{"bel":0.5,"pl":0.5}'],
+     0, '{"kind": "infinite", "delta": 0.0}\n', ''),
+    ('convert-belpl-weights-boolean', ['convert', '--from', 'belpl', '--to', 'weights', '{"bel":true,"pl":true}'],
+     1, '', "error: bad belief interval object: {'bel': True, 'pl': True}\n"),
     ('convert-belpl-lu-finite', ['convert', '--from', 'belpl', '--to', 'lu', '{"bel":0.2,"pl":0.7}'],
      0, '{"kind": "interval", "l": 0.18625891603580105, "u": 0.7398229125966344}\n', ''),
     ('convert-belpl-lu-zero', ['convert', '--from', 'belpl', '--to', 'lu', '{"bel":0,"pl":1}'],
@@ -106,6 +124,10 @@ CASES = [
      0, '{"w_plus": 0.0, "w_total": 0.0}\n', ''),
     ('convert-weights-counts-infinite', ['convert', '--from', 'weights', '--to', 'counts', '{"kind":"infinite","delta":1.5}'],
      2, '', 'error: infinite weight has no finite counts form\n'),
+    ('convert-weights-counts-overflow', ['convert', '--from', 'weights', '--to', 'counts', '{"kind":"finite","w_plus":1e308,"w_minus":1e308}'],
+     2, '', 'error: total weight 1e+308 + 1e+308 overflows, finite counts do not exist\n'),
+    ('convert-weights-lu-overflow', ['convert', '--from', 'weights', '--to', 'lu', '{"kind":"finite","w_plus":1e308,"w_minus":1e308}'],
+     2, '', 'error: total weight 1e+308 + 1e+308 overflows, finite counts do not exist\n'),
     ('convert-lu-belpl-finite', ['convert', '--from', 'lu', '--to', 'belpl', '{"kind":"interval","l":0.3,"u":0.5}'],
      0, '{"bel": 0.22227070913551245, "pl": 0.2861106169058897}\n', ''),
     ('convert-lu-belpl-zero', ['convert', '--from', 'lu', '--to', 'belpl', '{"kind":"interval","l":0,"u":1}'],
@@ -130,6 +152,8 @@ CASES = [
      0, '{"w_plus": 0.0, "w_total": 0.0}\n', ''),
     ('convert-lu-counts-point', ['convert', '--from', 'lu', '--to', 'counts', '{"kind":"point","value":0.25}'],
      2, '', 'error: a point carries infinite evidence, finite counts do not exist\n'),
+    ('convert-lu-counts-snap', ['convert', '--from', 'lu', '--to', 'counts', '{"kind":"interval","l":0.1,"u":1}'],
+     0, '{"w_plus": 0.11111111111111108, "w_total": 0.11111111111111108}\n', ''),
     ('convert-counts-belpl-finite', ['convert', '--from', 'counts', '--to', 'belpl', '{"w_plus":6,"w_total":10}'],
      0, '{"bel": 0.8805362554515286, "pl": 0.8827243102569744}\n', ''),
     ('convert-counts-belpl-zero', ['convert', '--from', 'counts', '--to', 'belpl', '{"w_plus":0,"w_total":0}'],
@@ -174,6 +198,8 @@ CASES = [
      0, '{"kind": "point", "value": 0.25}\n', ''),
     ('combine-lu-unequal-points', ['combine', '--rule', 'lu', '{"kind":"point","value":0.25}', '{"kind":"point","value":0.75}'],
      3, '{"conflict": [0.25, 0.75]}\n', ''),
+    ('combine-lu-unequal-points-051-099', ['combine', '--rule', 'lu', '{"kind":"point","value":0.51}', '{"kind":"point","value":0.99}'],
+     3, '{"conflict": [0.51, 0.99]}\n', ''),
     ('combine-lu-conflict-stops-the-fold', ['combine', '--rule', 'lu', '{"kind":"point","value":0.25}', '{"kind":"point","value":0.75}', '{"kind":"interval"}'],
      3, '{"conflict": [0.25, 0.75]}\n', ''),
     ('combine-lu-malformed', ['combine', '--rule', 'lu', '{"kind":"interval","l":0.3,"u":0.5}', '{"kind":"interval","l":0.3}'],

@@ -19,6 +19,10 @@ its other operand.  The BeliefInterval, combine_interval and
 belief_from_weights digests were re-pinned when every BeliefInterval began
 to hold its masses: each outcome that moved was a constructor-built value
 whose carried parts went from None to the (1 - pl, pl - bel) it derives.
+The counts_from_weights and lu_from_weights digests were re-pinned when a
+total weight that overflows became an InfiniteEvidenceError: the one
+outcome that moved in each is that of the weights (1e308, 1e308), which
+had been the ValidationError of the counts (1e+308, inf).
 
 The grid's random() draws leave 1 - l exact, so they never reach the
 counts snap of the frequency maps.  GOLDEN_ALL_POSITIVE pins a second
@@ -55,8 +59,10 @@ from evcalc import (
     counts_from_interval,
     counts_from_weights,
     interval_from_counts,
+    interval_to_mass,
     lu_from_belpl,
     lu_from_weights,
+    mass_to_interval,
     positive_proportion,
     weights_from_belief,
     weights_from_counts,
@@ -205,8 +211,8 @@ GOLDEN = {
     "interval_from_counts": "72f605d81b053ebcf0190545549c43c687279994b48e65285ecd002edb1947f8",
     "counts_from_interval": "dee0c4336e8fac7880267e751056dfac8d7c27fa84638587f2a08d087ec4d0eb",
     "weights_from_counts": "29a372bf8896b4af382edf4871670ad8ab8912b2c53942e842ab32fb3d28899a",
-    "counts_from_weights": "b85ade97546a38fbff7b61071454524882a2712cdae383c06af9f5d819c87269",
-    "lu_from_weights": "4db0fe74c4a7103f3cfb25834c6be79de3877549dd85d237a7ac7a5d209be048",
+    "counts_from_weights": "336e3689c7572156b1e12c82b74370e3291abdb657c17e9ac503a2f03c54bc07",
+    "lu_from_weights": "cdf448d2ef641040f28514fb8a0e37e6496d54b45c0d8240134cecd5518d9bdd",
     "positive_proportion": "77c9322dac1840a0009320362f9463c04e9f18242a6713e5a47d7923325fd7ff",
 }
 
@@ -244,8 +250,8 @@ def test_grid_covers_repairs_errors_and_carried_values(grid):
         ),
         (
             lambda: lu_from_weights(EvidenceWeights.finite(1e308, 1e308)),
-            ValidationError,
-            "counts must be finite and nonnegative, got (1e+308, inf)",
+            InfiniteEvidenceError,
+            "total weight 1e+308 + 1e+308 overflows, finite counts do not exist",
         ),
         (
             lambda: BeliefInterval(0.6, 0.6 - 2e-12),
@@ -365,6 +371,34 @@ def test_the_frequency_maps_hand_their_constructors_no_input_to_repair(monkeypat
     for w in grid.finite + grid.infinite:
         _outcome(counts_from_weights, w)
         _outcome(lu_from_weights, w)
+    assert repaired == [], f"{len(repaired)} repaired, the first {repaired[:3]}"
+
+
+def test_the_dempster_maps_hand_their_constructors_no_input_to_repair(monkeypatch):
+    # the Dempster side of the test above: record every call that returns a value whose fields
+    # are not its arguments as given, that is every renormalized mass and every repaired interval
+    grid = _inputs()  # built, and repaired where outside, before the patch
+    masses, shuffled = _built(MassAssignment, grid.masses), _built(MassAssignment, grid.shuffled_masses)
+    repaired = []
+
+    def recording(cls):
+        init = cls.__init__
+
+        def checked(self, *args):
+            init(self, *args)
+            if [getattr(self, name).hex() for name in cls._fields] != [float(arg).hex() for arg in args]:
+                repaired.append((cls.__name__, *args))
+
+        monkeypatch.setattr(cls, "__init__", checked)
+
+    recording(MassAssignment)
+    recording(BeliefInterval)
+    for m, other in zip(masses, shuffled):
+        _outcome(combine_mass, m, other)
+        _outcome(mass_to_interval, m)
+    for iv, other in zip(grid.intervals + grid.built, grid.shuffled + grid.built[::-1]):
+        _outcome(interval_to_mass, iv)
+        _outcome(combine_interval, iv, other)
     assert repaired == [], f"{len(repaired)} repaired, the first {repaired[:3]}"
 
 
