@@ -139,7 +139,11 @@ def _counts(fi: FrequencyInterval) -> tuple[float, float]:
         raise InfiniteEvidenceError("a point carries infinite evidence, finite counts do not exist")
     width = u - l
     wp, wt = l / width, (1.0 - width) / width
-    return (wp, wt) if 0.0 <= wp <= wt < math.inf else _check_counts(wp, wt)
+    if 0.0 <= wp <= wt < math.inf:
+        return wp, wt
+    if wt == math.inf:
+        raise InfiniteEvidenceError(f"total count (1 - {width!r}) / {width!r} overflows, finite counts do not exist")
+    return _check_counts(wp, wt)
 
 
 def counts_from_interval(fi: FrequencyInterval) -> EvidenceCounts:

@@ -8,13 +8,12 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import evcalc
+from conftest import src_env
 from evcalc import StreamSpec, run_dual_track
 from evcalc.cli import _COMMANDS, _build_parser, _read_argv, main
 
@@ -235,9 +234,8 @@ def test_an_oversized_integer_is_a_one_line_error(capsys, monkeypatch, case, big
 
 @pytest.mark.parametrize("big", BIG_INTS.values(), ids=BIG_INTS)
 def test_an_oversized_integer_ends_without_a_traceback(big):
-    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
     argv = ["convert", "--from", "counts", "--to", "lu", '{"w_plus": 1, "w_total": %s}' % big]
-    proc = subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], capture_output=True, text=True, env=env,
+    proc = subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], capture_output=True, text=True, env=src_env(),
                           timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
@@ -346,10 +344,9 @@ def test_simulate_unwritable_out_is_usage_error(capsys, tmp_path):
 def test_simulate_stops_quietly_when_stdout_reader_closes():
     # 200k rows are megabytes of CSV, far beyond a pipe buffer, so the
     # child is still writing when the reader goes away after one line
-    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "evcalc.cli", "simulate", "--q", "0.7", "--steps", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
     )
     assert proc.stdout.readline() == b"t,t_plus,bel,pl,l,u,f\n"
     proc.stdout.close()
@@ -369,10 +366,9 @@ def test_simulate_stops_quietly_when_stdout_reader_closes():
     ],
 )
 def test_full_stdout_is_a_one_line_error(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
-            [sys.executable, "-m", "evcalc.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=env, timeout=60
+            [sys.executable, "-m", "evcalc.cli", *argv], stdout=full, stderr=subprocess.PIPE, env=src_env(), timeout=60
         )
     assert proc.returncode == 1
     assert proc.stderr.decode() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
@@ -381,8 +377,7 @@ def test_full_stdout_is_a_one_line_error(argv):
 def _run_with_stdout_closed(argv) -> subprocess.CompletedProcess:
     """evcalc in a new interpreter started with its stdout descriptor closed,
     so its sys.stdout is None."""
-    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], stderr=subprocess.PIPE, env=env,
+    return subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], stderr=subprocess.PIPE, env=src_env(),
                           preexec_fn=lambda: os.close(1), timeout=60)
 
 
@@ -434,17 +429,15 @@ def _make_stderr_read_only():
     ids=["simulate", "combine", "convert"],
 )
 def test_lost_stderr_leaves_stdout_and_exit_code(start, argv, code, out):
-    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], stdout=subprocess.PIPE, env=env,
+    proc = subprocess.run([sys.executable, "-m", "evcalc.cli", *argv], stdout=subprocess.PIPE, env=src_env(),
                           preexec_fn=start, timeout=60)
     assert (proc.returncode, proc.stdout.decode()) == (code, out)
 
 
 def _loaded(statement: str) -> set:
     """The modules loaded after statement runs in a new interpreter on this checkout's evcalc."""
-    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
     probe = f"import sys\n{statement}\nprint(' '.join(sorted(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())  # the line after any output of statement
 
@@ -749,6 +742,18 @@ def test_help_text_is_pinned(capsys, monkeypatch, command):
 @pytest.mark.parametrize("argv, quoted, bare", INVALID_CHOICE.values(), ids=list(INVALID_CHOICE))
 def test_invalid_choice_message_is_pinned(capsys, argv, quoted, bare):
     assert run_cli(capsys, *argv) == (1, "", quoted if _argparse_quotes_choices() else bare)
+
+
+# the same texts from the installed console script
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "evcalc")
+def test_installed_script_help_text_is_pinned(evcalc_script, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert evcalc_script(*([command, "--help"] if command else ["--help"])) == (0, HELP[command], "")
+
+
+@pytest.mark.parametrize("argv, quoted, bare", INVALID_CHOICE.values(), ids=list(INVALID_CHOICE))
+def test_installed_script_invalid_choice_message_is_pinned(evcalc_script, argv, quoted, bare):
+    assert evcalc_script(*argv) == (1, "", quoted if _argparse_quotes_choices() else bare)
 
 
 # --- the table reader ---

@@ -53,6 +53,15 @@ must be finite and nonnegative, got (1e+308, inf)`.
 `convert-belpl-weights-boolean` was added with the fix that makes a JSON
 boolean in a numeric field a malformed value (exit 1); the CLI had read
 true as 1 and printed `{"kind": "infinite", "delta": -Infinity}`.
+`convert-lu-belpl-overflow`, `convert-lu-weights-overflow` and
+`convert-lu-counts-overflow` were added with the fix that makes an interval
+whose total count overflows an undefined conversion (exit 2); the CLI had
+exited 1 with `error: counts must be finite and nonnegative, got (0.0, inf)`.
+
+test_installed_script_output_is_unchanged runs every case again through
+the `evcalc` script installed beside the test interpreter, on this
+checkout's code, in place of CI's former shell checks of that script; it
+skips where no script is installed.
 """
 
 import json
@@ -154,6 +163,12 @@ CASES = [
      2, '', 'error: a point carries infinite evidence, finite counts do not exist\n'),
     ('convert-lu-counts-snap', ['convert', '--from', 'lu', '--to', 'counts', '{"kind":"interval","l":0.1,"u":1}'],
      0, '{"w_plus": 0.11111111111111108, "w_total": 0.11111111111111108}\n', ''),
+    ('convert-lu-belpl-overflow', ['convert', '--from', 'lu', '--to', 'belpl', '{"kind":"interval","l":0,"u":5e-324}'],
+     2, '', 'error: total count (1 - 5e-324) / 5e-324 overflows, finite counts do not exist\n'),
+    ('convert-lu-weights-overflow', ['convert', '--from', 'lu', '--to', 'weights', '{"kind":"interval","l":0,"u":5e-324}'],
+     2, '', 'error: total count (1 - 5e-324) / 5e-324 overflows, finite counts do not exist\n'),
+    ('convert-lu-counts-overflow', ['convert', '--from', 'lu', '--to', 'counts', '{"kind":"interval","l":0,"u":5e-324}'],
+     2, '', 'error: total count (1 - 5e-324) / 5e-324 overflows, finite counts do not exist\n'),
     ('convert-counts-belpl-finite', ['convert', '--from', 'counts', '--to', 'belpl', '{"w_plus":6,"w_total":10}'],
      0, '{"bel": 0.8805362554515286, "pl": 0.8827243102569744}\n', ''),
     ('convert-counts-belpl-zero', ['convert', '--from', 'counts', '--to', 'belpl', '{"w_plus":0,"w_total":0}'],
@@ -230,6 +245,11 @@ def test_cli_output_is_unchanged(capsys, argv, code, out, err):
     assert main(list(argv)) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (out, err)
+
+
+@pytest.mark.parametrize("argv, code, out, err", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_installed_script_output_is_unchanged(evcalc_script, argv, code, out, err):
+    assert evcalc_script(*argv) == (code, out, err)
 
 
 def test_combine_dempster_three_is_near_a_200_bit_reference(capsys):

@@ -21,6 +21,10 @@ from the iterated fold and still hold.
 The last three tests send the "faithful" case through `evcalc simulate`'s
 stdout, its --out file and a text-only stdout (an io.StringIO), and pin
 that Trajectory.to_csv returns text.
+
+test_installed_script_simulate_matches_golden runs SIMULATE_CASES again
+through the `evcalc` script installed beside the test interpreter, on this
+checkout's code; it skips where no script is installed.
 """
 
 import contextlib
@@ -168,6 +172,12 @@ def test_simulate_cli_matches_golden(capsys, argv, code, digest, err):
     captured = capsys.readouterr()
     assert _sha256(captured.out.encode()) == digest
     assert captured.err == err
+
+
+@pytest.mark.parametrize("argv,code,digest,err", [c[1:] for c in SIMULATE_CASES], ids=[c[0] for c in SIMULATE_CASES])
+def test_installed_script_simulate_matches_golden(evcalc_script, argv, code, digest, err):
+    got_code, out, got_err = evcalc_script(*argv)
+    assert (got_code, _sha256(out.encode()), got_err) == (code, digest, err)
 
 
 FAITHFUL_DIGEST = dict((c[0], c[4]) for c in CASES)["faithful"]

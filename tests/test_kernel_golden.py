@@ -28,6 +28,10 @@ The grid's random() draws leave 1 - l exact, so they never reach the
 counts snap of the frequency maps.  GOLDEN_ALL_POSITIVE pins a second
 group, all-positive intervals whose l has every mantissa bit drawn, taken
 before those maps shared one counts body and combine_lu clamped its u.
+Its counts_from_interval, belpl_from_lu and chained digests were re-pinned
+when an interval whose total count overflows became an
+InfiniteEvidenceError: only the outcome of (0, 5e-324) moved in each, from
+the ValidationError of the counts (0.0, inf).
 The grid's (-tiny, 1 + tiny) draws all collapse to (0, 1), so
 GOLDEN_ONE_END_REPAIRED pins combine_lu and the counts maps on intervals
 the constructor repaired at one end only.
@@ -306,10 +310,10 @@ def _all_positive_grid() -> dict[str, list[str]]:
 
 
 GOLDEN_ALL_POSITIVE = {
-    "counts_from_interval": "8e9b2df1e875833e3d362c5f53b3e6b4ba3e4eac855c9d161b0de328355183bf",
-    "belpl_from_lu": "b02bfda77dd17004549a801e5b47fc86302a16da7818a1dd1f7484f8a0ed6037",
+    "counts_from_interval": "5a02ac719dff7445db2ab6ee6ece8c82dd82ebd710ea5d741ba4e5a4f2fa8065",
+    "belpl_from_lu": "419e909aae1aa2e7ff2f032867141cb7ee3232b073a3d2cf593a93e526ac2bbc",
     "belief_from_weights(weights_from_counts(counts_from_interval))": (
-        "b02bfda77dd17004549a801e5b47fc86302a16da7818a1dd1f7484f8a0ed6037"
+        "419e909aae1aa2e7ff2f032867141cb7ee3232b073a3d2cf593a93e526ac2bbc"
     ),
     "combine_lu": "260414ce7840d1de3ec0e5ee63d66d84774507bca887ce9e88ca9ca897960fc8",
 }

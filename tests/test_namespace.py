@@ -5,12 +5,11 @@ used the package's names.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import evcalc
+from conftest import src_env
 
 ALL = [
     "BeliefInterval",
@@ -68,9 +67,8 @@ STATE = "print(json.dumps([sorted(m for m in sys.modules if m.startswith('evcalc
 
 def fresh(code: str):
     """The JSON lines code prints, run in a new interpreter on this checkout's evcalc."""
-    env = dict(os.environ, PYTHONPATH=str(Path(evcalc.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + code], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", "import json, sys\n" + code], capture_output=True, text=True, env=src_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     return [json.loads(line) for line in proc.stdout.splitlines()]
